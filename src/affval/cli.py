@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import re
 import sys
 
 import numpy as np
@@ -31,9 +31,7 @@ function JSON:
 polytope JSON (POLY):
   {"dim":N,"vertices":[[...],...]}  or  {"halfspaces":[{"normal":[...],"offset":R},...]}
 zeta specs: power:P (0<P<1), sqrt
-CSV columns of check reports: index,name,residual,tolerance,pass
-AFFVAL_THREADS caps internal parallel evaluation (evaluation is sequential
-when unset or 1)."""
+CSV columns of check reports: index,name,residual,tolerance,pass"""
 
 
 def _parse_zeta(spec: str):
@@ -290,8 +288,17 @@ def _cmd_experiment(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads any argument that starts like a negative number ('-8e-05',
+    '-.5') as a value, not an option flag.  Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="affval",
         description="Convex-function calculus on polytopal domains.",
         epilog=SCHEMA_HELP,
@@ -381,7 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    os.environ.setdefault("AFFVAL_THREADS", "1")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -249,9 +249,8 @@ class PAFn(ConvexFn):
             )
             if len(pts):
                 found.append(pts)
-        z = geometry._dedupe_rows(
-            geometry._lex_sorted(np.vstack(found)), 1e-9 * max(1.0, P.diameter)
-        )
+        z = geometry._lex_sorted(np.vstack(found))
+        z = z[geometry.near_duplicate_leaders(z, 1e-9 * max(1.0, P.diameter))[0]]
         x = origin + z @ Q.T
         return x, self.max_values(x)
 
@@ -520,11 +519,6 @@ class CylinderFn(ConvexFn):
 # evaluation / subdifferential / Lipschitz
 
 
-def eval_fn(u: ConvexFn, x) -> float:
-    """Extended-real evaluation (+inf outside the domain)."""
-    return u.evaluate(x)
-
-
 def subdifferential(u: ConvexFn, x) -> SubdiffSet:
     """Convex hull of active gradients plus normal-cone generators at the
     domain boundary.  Raises OutsideDomain when u(x) = +inf."""
@@ -567,80 +561,29 @@ def lipschitz_constant(u: ConvexFn) -> float:
 def _dedupe_pieces(G: np.ndarray, c: np.ndarray):
     """Merge pieces with equal gradients, keeping the largest intercept."""
     scale = max(1.0, float(np.abs(G).max(initial=0.0)))
-    keep: list[int] = []
-    for i in range(len(G)):
-        dup = None
-        for j in keep:
-            if np.max(np.abs(G[i] - G[j])) <= 1e-12 * scale:
-                dup = j
-                break
-        if dup is None:
-            keep.append(i)
-        elif c[i] > c[dup]:
-            keep[keep.index(dup)] = i
+    keep, _ = geometry.near_duplicate_leaders(G, 1e-12 * scale, prefer=c)
     keep.sort()
     return G[keep], c[keep]
 
 
 def essential_mask_global(G: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Mask of pieces attaining the strict max of max_i(<g_i,y> + c_i)
-    somewhere; gradients assumed deduplicated."""
+    somewhere; gradients assumed deduplicated.  These are the vertices of the
+    lower convex hull of the lifted points (g_i, -c_i)."""
     k = len(G)
-    if k == 1:
-        return np.ones(1, dtype=bool)
     origin, Q, d = geometry._affine_chart(G)
+    mask = np.zeros(k, dtype=bool)
     if d == 0:
-        mask = np.zeros(k, dtype=bool)
         mask[int(np.argmax(c))] = True
         return mask
     Z = (G - origin) @ Q
-    lifted = np.column_stack([Z, c])
-    _, _, lr = geometry._affine_chart(lifted)
-    if lr <= d:
+    _, _, simplices = lower_facets(Z, -c)
+    if simplices is None:
         # intercepts affine in the gradients: essential = extreme gradients
         ext = hull(Z).vertices
-        mask = np.zeros(k, dtype=bool)
-        for i in range(k):
-            if np.min(np.max(np.abs(ext - Z[i]), axis=1)) <= 1e-9 * max(1.0, np.abs(Z).max()):
-                mask[i] = True
-        return mask
-    if k >= d + 3:
-        try:
-            return _essential_mask_qhull(lifted)
-        except QhullError:
-            pass
-    return _essential_mask_lp(Z, c)
-
-
-def _essential_mask_qhull(lifted: np.ndarray) -> np.ndarray:
-    ch = ConvexHull(lifted)
-    eqs = ch.equations
-    upper = eqs[:, -2] > 1e-12
-    scale = max(1.0, float(np.abs(lifted).max()))
-    mask = np.zeros(len(lifted), dtype=bool)
-    for v in ch.vertices:
-        dists = eqs[:, :-1] @ lifted[v] + eqs[:, -1]
-        inc = np.abs(dists) <= 1e-9 * scale
-        if np.any(inc & upper):
-            mask[v] = True
-    return mask
-
-
-def _essential_mask_lp(Z: np.ndarray, c: np.ndarray, bound: float = 1e4) -> np.ndarray:
-    k, d = Z.shape
-    mask = np.zeros(k, dtype=bool)
-    for i in range(k):
-        others = [j for j in range(k) if j != i]
-        A = np.column_stack([Z[others] - Z[i], np.ones(len(others))])
-        b = c[i] - c[others]
-        res = linprog(
-            np.append(np.zeros(d), -1.0),
-            A_ub=A,
-            b_ub=b,
-            bounds=[(-bound, bound)] * d + [(-1.0, 1.0)],
-            method="highs",
-        )
-        mask[i] = res.status == 0 and -res.fun > 1e-11
+        gap = np.abs(Z[:, None, :] - ext[None, :, :]).max(axis=2).min(axis=1)
+        return gap <= 1e-9 * max(1.0, np.abs(Z).max())
+    mask[simplices.ravel()] = True
     return mask
 
 
@@ -682,6 +625,30 @@ def essential_mask_on_domain(G: np.ndarray, c: np.ndarray, P: Polytope) -> np.nd
 # lower convex hull of lifted points -> max-of-affines
 
 
+def lower_facets(z: np.ndarray, vals: np.ndarray):
+    """Lower facets of the lifted points (z_i, vals_i), with z in chart
+    coordinates of full column rank.
+
+    Returns (slopes, intercepts, simplices): facet j is the graph of
+    <slopes[j], .> + intercepts[j] over the simplex of the points indexed by
+    simplices[j]; coplanar facets repeat their slope.  When the lifted points
+    are coplanar the single affine interpolant is returned with simplices None.
+    """
+    d = z.shape[1]
+    lifted = np.column_stack([z, vals])
+    _, _, lr = geometry._affine_chart(lifted)
+    if lr <= d:
+        coef, *_ = np.linalg.lstsq(np.column_stack([z, np.ones(len(z))]), vals, rcond=None)
+        return coef[None, :d], coef[d:], None
+    try:
+        ch = ConvexHull(lifted)
+    except QhullError:
+        ch = ConvexHull(lifted, qhull_options="QJ1e-12")
+    lower = ch.equations[:, d] < -1e-10
+    a = ch.equations[lower]
+    return -a[:, :d] / a[:, d:d + 1], -a[:, d + 1] / a[:, d], ch.simplices[lower]
+
+
 def lower_hull_pieces(points: np.ndarray, values: np.ndarray):
     """Largest convex function below the given graph points, as
     (pieces, domain).  The function equals the lower convex hull of the
@@ -692,49 +659,14 @@ def lower_hull_pieces(points: np.ndarray, values: np.ndarray):
     z = (pts - origin) @ Q
     # merge coincident base points, keeping the lowest value
     scale = max(1.0, float(np.abs(z).max(initial=0.0)))
-    keep: dict[int, int] = {}
-    order: list[int] = []
-    for i in range(len(z)):
-        match = None
-        for j in order:
-            if np.max(np.abs(z[i] - z[j])) <= 1e-10 * scale:
-                match = j
-                break
-        if match is None:
-            order.append(i)
-        elif vals[i] < vals[match]:
-            order[order.index(match)] = i
-    z, vals = z[order], vals[order]
+    keep, _ = geometry.near_duplicate_leaders(z, 1e-10 * scale, prefer=-vals)
+    z, vals = z[keep], vals[keep]
     domain = hull(pts)
-
-    def back(gz, cz):
-        g = Q @ gz
-        return AffineFn(g, float(cz - g @ origin))
-
     if d == 0:
         return [AffineFn(np.zeros(pts.shape[1]), float(vals.min()))], domain
-    lifted = np.column_stack([z, vals])
-    _, _, lr = geometry._affine_chart(lifted)
-    if lr <= d or len(z) == d + 1:
-        coef, *_ = np.linalg.lstsq(np.column_stack([z, np.ones(len(z))]), vals, rcond=None)
-        return [back(coef[:d], coef[d])], domain
-    try:
-        ch = ConvexHull(lifted)
-    except QhullError:
-        ch = ConvexHull(lifted, qhull_options="QJ1e-12")
-    pieces = []
-    for eq in ch.equations:
-        a, off = eq[:-1], eq[-1]
-        if a[-1] < -1e-10:
-            gz = -a[:d] / a[-1]
-            cz = -off / a[-1]
-            pieces.append(back(gz, cz))
-    if not pieces:
-        coef, *_ = np.linalg.lstsq(np.column_stack([z, np.ones(len(z))]), vals, rcond=None)
-        return [back(coef[:d], coef[d])], domain
-    G = np.array([p.grad for p in pieces])
-    c = np.array([p.c for p in pieces])
-    G, c = _dedupe_pieces(G, c)
+    slopes, intercepts, _ = lower_facets(z, vals)
+    G = slopes @ Q.T
+    G, c = _dedupe_pieces(G, intercepts - G @ origin)
     return [AffineFn(g, ci) for g, ci in zip(G, c)], domain
 
 

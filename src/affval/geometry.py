@@ -34,14 +34,35 @@ def _as_point_array(points) -> np.ndarray:
     return pts
 
 
-def _dedupe_rows(pts: np.ndarray, tol: float) -> np.ndarray:
-    if len(pts) <= 1:
-        return pts
-    keep: list[int] = []
-    for i, p in enumerate(pts):
-        if all(np.max(np.abs(p - pts[j])) > tol for j in keep):
-            keep.append(i)
-    return pts[keep]
+def near_duplicate_leaders(X: np.ndarray, tol: float | np.ndarray, prefer=None):
+    """Group the rows of X that lie within tol of each other (max norm).
+
+    Rows are scanned in order: each row not yet grouped leads a new group and
+    takes every ungrouped row within tol of it, so a chain a~b~c with a and c
+    apart gives the two groups led by a and c.  `tol` is a scalar or one
+    tolerance per row, in which case the leader's applies.  Returns
+    (keep, group): group[i] is the group of row i and keep[j] the row kept for
+    group j, the leader or, with `prefer`, the member of largest preference
+    (the earliest on ties).
+    """
+    X = np.asarray(X, dtype=float)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (len(X),))
+    group = np.empty(len(X), dtype=int)
+    free = np.arange(len(X))
+    leaders: list[int] = []
+    while len(free):
+        near = np.abs(X[free] - X[free[0]]).max(axis=1, initial=0.0) <= tol[free[0]]
+        # the leader joins its own group even when a NaN defeats the test
+        near[0] = True
+        group[free[near]] = len(leaders)
+        leaders.append(free[0])
+        free = free[~near]
+    if prefer is None:
+        return np.array(leaders, dtype=int), group
+    order = np.lexsort((-np.asarray(prefer, dtype=float), group))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = group[order[1:]] != group[order[:-1]]
+    return order[first], group
 
 
 def _lex_sorted(pts: np.ndarray) -> np.ndarray:
@@ -230,7 +251,7 @@ class Polytope:
             b = np.einsum("ij,ij->i", A, ordered)
             return _unit_rows(A, b)
         hull = ConvexHull(z)
-        eqs = _dedupe_rows(hull.equations, 1e-9)
+        eqs = hull.equations[near_duplicate_leaders(hull.equations, 1e-9)[0]]
         return _unit_rows(eqs[:, :-1], -eqs[:, -1])
 
     @cached_property
@@ -337,9 +358,11 @@ def hull(points) -> Polytope:
     pts = _as_point_array(points)
     if pts.size == 0:
         raise EmptyInput("hull of no points")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("non-finite vertex coordinates")
     scale = max(1.0, float(np.abs(pts).max()))
     pts = _snap_columns(pts, 1e-10 * scale)
-    pts = _dedupe_rows(pts, 1e-10 * scale)
+    pts = pts[near_duplicate_leaders(pts, 1e-10 * scale)[0]]
     n = pts.shape[1]
     origin, basis, d = _affine_chart(pts)
     if d == n:
@@ -399,7 +422,8 @@ def vertices_from_halfspaces(A: np.ndarray, b: np.ndarray, dim: int) -> np.ndarr
     pts = sols[feas]
     if len(pts) == 0:
         return np.zeros((0, dim))
-    return _dedupe_rows(_lex_sorted(pts), 1e-7 * max(1.0, float(np.abs(pts).max())))
+    pts = _lex_sorted(pts)
+    return pts[near_duplicate_leaders(pts, 1e-7 * max(1.0, float(np.abs(pts).max())))[0]]
 
 
 def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:

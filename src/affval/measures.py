@@ -3,22 +3,24 @@
 For a finite-valued max-of-affines v, the measure B -> V_n(subdifferential
 image of B) is purely atomic: atoms sit at the vertices of the activity
 subdivision of R^n and the mass at a vertex is the volume of the convex hull
-of the gradients active there.  Vertices are located by enumerating
-(n+1)-subsets of pieces, solving for simultaneous activity and filtering by
-global optimality.
+of the gradients active there.  Both come from the lower convex hull of the
+lifted points (g_i, -c_i), the same regular subdivision that conjugation
+builds: the slope of a lower facet is a vertex of the activity subdivision,
+and the gradient simplices of the facets sharing that slope tile its
+subdifferential.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import LinearNDInterpolator
 
 from .errors import NotFiniteValued
-from .funcs import ACTIVE_TOL, PAFn, _dedupe_pieces
-from .geometry import hull
+from .funcs import PAFn, _dedupe_pieces, lower_facets
+from .geometry import _affine_chart, hull, near_duplicate_leaders
 from .report import CheckReport
 
 
@@ -58,37 +60,20 @@ def monge_ampere_pa(v: PAFn) -> MAMeasure:
         raise NotFiniteValued("the function must be finite on all of R^n")
     n = v.dim
     G, c = _dedupe_pieces(v.G, v.cvec)
-    k = len(G)
-    if k <= n:
+    if _affine_chart(G)[2] < n:
         return MAMeasure(())
-    locations: list[np.ndarray] = []
+    slopes, _, simplices = lower_facets(G, -c)
+    if simplices is None:
+        # intercepts affine in the gradients: one vertex where all are active
+        vols = np.array([hull(G).volume])
+    else:
+        edges = G[simplices[:, 1:]] - G[simplices[:, :1]]
+        vols = np.abs(np.linalg.det(edges)) / math.factorial(n)
+    # each atom's own scale: one far vertex must not merge the atoms near 0
+    keep, group = near_duplicate_leaders(slopes, 1e-7 * np.maximum(1.0, np.abs(slopes).max(axis=1)))
+    masses = np.bincount(group, weights=vols, minlength=len(keep))
     scale = max(1.0, float(np.abs(G).max()), float(np.abs(c).max()))
-    for subset in itertools.combinations(range(k), n + 1):
-        i0 = subset[0]
-        rest = list(subset[1:])
-        A = G[rest] - G[i0]
-        b = c[i0] - c[rest]
-        det = abs(np.linalg.det(A))
-        if det <= 1e-10 * max(1.0, float(np.abs(A).max()) ** n):
-            continue
-        x = np.linalg.solve(A, b)
-        vals = G @ x + c
-        top = vals.max()
-        if vals[i0] < top - ACTIVE_TOL * max(1.0, abs(top)):
-            continue
-        locations.append(x)
-    atoms = []
-    used: list[np.ndarray] = []
-    for x in locations:
-        if any(np.max(np.abs(x - u)) <= 1e-7 * max(1.0, float(np.abs(x).max())) for u in used):
-            continue
-        used.append(x)
-        vals = G @ x + c
-        top = vals.max()
-        active = G[vals >= top - ACTIVE_TOL * max(1.0, abs(top))]
-        sub = hull(active)
-        if sub.volume > 1e-12 * scale ** n:
-            atoms.append((x, sub.volume))
+    atoms = [(slopes[i], float(m)) for i, m in zip(keep, masses) if m > 1e-12 * scale ** n]
     atoms.sort(key=lambda a: tuple(a[0]))
     return MAMeasure(tuple(atoms))
 

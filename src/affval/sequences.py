@@ -172,13 +172,6 @@ class StaircaseSpec:
         return box(lo, -lo)
 
 
-def _staircase_axis_pad(n: int):
-    """Hessian / linear padding for the unit-quadratic extra axes."""
-    extra = n - 2
-    diag = [1.0] * extra
-    return np.array(diag)
-
-
 def staircase_sequence(spec: StaircaseSpec) -> PLQFn:
     """The alternating shallow/steep quadratic staircase as a certified PLQ.
 

@@ -38,7 +38,6 @@ from .funcs import (
     QuadraticFn,
     _dedupe_pieces,
     certify_plq,
-    essential_mask_global,
     lower_hull_pieces,
 )
 from .geometry import EPS_GEOM, AffineMap, Polytope, cube, hull, intersect, minkowski_sum
@@ -56,13 +55,7 @@ def legendre_pa(u: PAFn) -> PAFn:
     applying the transform twice reproduces the input.
     """
     if u.domain is None:
-        G, c = _dedupe_pieces(u.G, u.cvec)
-        if len(G) > 1:
-            mask = essential_mask_global(G, c)
-            if mask.any():
-                G, c = G[mask], c[mask]
-        pieces, dom = lower_hull_pieces(G, -c)
-        return PAFn(pieces, dom)
+        return PAFn(*lower_hull_pieces(u.G, -u.cvec))
     pts, vals = u.subdivision_vertices()
     w = PAFn([AffineFn(p, -float(t)) for p, t in zip(pts, vals)], None)
     return w.pruned()

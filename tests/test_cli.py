@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from affval import jsonio
-from affval.cli import main
+from affval.cli import _build_parser, main
 from affval.funcs import AffineFn, PAFn, QuadraticFn
 from affval.geometry import box, cube
 
@@ -54,6 +54,16 @@ def test_polytope_halfspace_form_accepted():
     assert P.volume == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("text", [
+    '{"dim": 2, "vertices": [[Infinity, 0], [0, 1], [1, 0]]}',
+    '{"dim": 1, "vertices": [[NaN]]}',
+])
+def test_polytope_non_finite_vertex_rejected(text):
+    # json.loads accepts Infinity and NaN; the hull must refuse them
+    with pytest.raises(ValueError, match="non-finite"):
+        jsonio.polytope_from_dict(json.loads(text))
+
+
 def test_seventeen_digit_serialization():
     x = 0.1 + 0.2
     s = jsonio.dumps({"v": x})
@@ -79,6 +89,21 @@ def test_cli_zvalue_closed_form(tmp_path, capsys):
     assert main(["zvalue", "--zeta", "power:0.5", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["value"] == pytest.approx(4.0)
+
+
+def test_cli_negative_numbers_are_values(tmp_path, capsys):
+    u = {"type": "indicator", "domain": {"dim": 2, "vertices": [[0, 0], [0, 1], [1, 0], [1, 1]]}}
+    path = write(tmp_path, "u.json", u)
+    assert main(["zvalue", path, "--zeta", "sqrt", "--c0", "-8e-05", "--c1", "-.5"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["c0"] == -8e-05
+    assert out["value"] == pytest.approx(-0.5 - 8e-05)
+    assert main(["eval", write(tmp_path, "l1.json", l1_dict()), "--point", "-1,2"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(3.0)
+    # nested subparsers get the same reading
+    args = _build_parser().parse_args(["construct", "staircase", "--s", "-1e-1",
+                                       "--a", "1", "--r", "2"])
+    assert args.s == -0.1
 
 
 def test_cli_conjugate_and_eval(tmp_path, capsys):

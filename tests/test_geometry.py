@@ -12,6 +12,7 @@ from affval.geometry import (
     hull,
     intersect,
     minkowski_sum,
+    near_duplicate_leaders,
     point,
     polytope_difference,
     segment,
@@ -219,3 +220,54 @@ def test_degenerate_polytope_halfspace_consistency():
     # a point off the affine hull is excluded
     assert not S.contains([0.5, 0.6])
     assert S.contains([0.5, 0.5])
+
+
+def test_near_duplicate_chain_keeps_both_ends():
+    # a~b and b~c but a and c apart: b joins a, c leads its own group
+    X = np.array([[0.0, 0.0], [0.6, 0.0], [1.2, 0.0]])
+    keep, group = near_duplicate_leaders(X, 0.7)
+    assert keep.tolist() == [0, 2]
+    assert group.tolist() == [0, 0, 1]
+
+
+def test_near_duplicate_prefer_largest_then_earliest():
+    X = np.array([[0.0], [1e-12], [5.0], [5.0], [-1e-12]])
+    keep, group = near_duplicate_leaders(X, 1e-9, prefer=[1.0, 3.0, 2.0, 2.0, 3.0])
+    assert group.tolist() == [0, 0, 1, 1, 0]
+    assert keep.tolist() == [1, 2]
+
+
+def test_near_duplicate_zero_columns_is_one_group():
+    keep, group = near_duplicate_leaders(np.zeros((4, 0)), 1e-10, prefer=[0.0, 2.0, 1.0, 2.0])
+    assert keep.tolist() == [1]
+    assert group.tolist() == [0, 0, 0, 0]
+    assert near_duplicate_leaders(np.zeros((0, 2)), 1e-10)[0].size == 0
+
+
+def test_near_duplicate_heavy_duplication():
+    rng = np.random.default_rng(5)
+    centers = rng.uniform(-1, 1, (5, 3))
+    X = centers[rng.integers(0, 5, 20000)] + rng.uniform(-1e-12, 1e-12, (20000, 3))
+    keep, group = near_duplicate_leaders(X, 1e-9)
+    assert len(keep) == 5
+    assert np.allclose(X[keep][group], X, atol=1e-9)
+
+
+def test_near_duplicate_per_row_tolerance_uses_leader():
+    X = np.array([[0.0], [0.05], [1e6], [1e6 + 0.05]])
+    keep, group = near_duplicate_leaders(X, 1e-7 * np.maximum(1.0, np.abs(X).max(axis=1)))
+    assert group.tolist() == [0, 1, 2, 2]
+    assert keep.tolist() == [0, 1, 2]
+
+
+def test_near_duplicate_non_finite_rows_terminate():
+    # a NaN row is within tol of nothing, itself included; it still leads
+    X = np.array([[np.nan, 0.0], [np.nan, 0.0], [0.0, 0.0]])
+    keep, group = near_duplicate_leaders(X, 1e-9)
+    assert keep.tolist() == [0, 1, 2]
+    assert group.tolist() == [0, 1, 2]
+
+
+def test_hull_rejects_non_finite_points():
+    with pytest.raises(ValueError, match="non-finite"):
+        hull([[np.inf, 0.0], [0.0, 1.0], [1.0, 0.0]])

@@ -1,0 +1,35 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps library functions by
+name, so a rename in the library fails here instead of in a traced run."""
+
+import importlib.util
+from pathlib import Path
+
+import affval
+import affval.cli
+from affval import funcs, measures
+from affval.funcs import AffineFn, PAFn
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    originals = (funcs.lower_hull_pieces, funcs.PAFn.__dict__["cells"], measures.monge_ampere_pa)
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        v = PAFn([AffineFn([1.0, 0.0], 0.0), AffineFn([-1.0, 0.0], 0.0),
+                  AffineFn([0.0, 1.0], 0.0), AffineFn([0.0, -1.0], 0.0)])
+        mass, dual = affval.ma_total_mass(v)
+    finally:
+        tracer.uninstall()
+    assert mass == dual == 2.0
+    assert {s[0] for s in tracer.spans} >= {"measures.ma_total_mass", "funcs.lower_hull_pieces"}
+    assert (funcs.lower_hull_pieces, funcs.PAFn.__dict__["cells"], measures.monge_ampere_pa) \
+        == originals
