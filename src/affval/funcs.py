@@ -208,10 +208,6 @@ class PAFn(ConvexFn):
             vals = np.where(self.domain.contains_many(X), vals, np.inf)
         return vals
 
-    @property
-    def is_finite_valued(self) -> bool:
-        return self.domain is None
-
     def active_gradients(self, x, tol: float = ACTIVE_TOL) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         vals = self.G @ x + self.cvec
@@ -219,38 +215,39 @@ class PAFn(ConvexFn):
         scale = max(1.0, abs(top))
         return self.G[vals >= top - tol * scale]
 
-    def subdivision_vertices(self):
-        """Vertices of the activity subdivision of the domain, with values.
+    @cached_property
+    def _regions(self) -> list[np.ndarray]:
+        """Per piece, the vertices in the domain chart of the region of the
+        domain where that piece attains the max (empty where it never does).
 
-        Works inside the domain's affine chart so degenerate domains are fine.
+        Working inside the chart serves degenerate domains too; on a
+        full-dimensional domain the chart is the identity.
         """
         P = self.domain
         if P is None:
-            raise BadInput("subdivision vertices need a compact domain")
-        if P.intrinsic_dim == 0:
-            pts = P.vertices[:1]
-            return pts, self.max_values(pts)
+            raise BadInput("the activity subdivision needs a compact domain")
         origin, Q = P.chart
         d = P.intrinsic_dim
+        if d == 0:
+            # R^0 has one point; the slack is that of vertices_from_halfspaces
+            vals = self.G @ origin + self.cvec
+            tol = FEAS_TOL * max(1.0, float(np.abs(origin).max()))
+            return [np.zeros((int(v >= vals.max() - tol), 0)) for v in vals]
         Ad, bd = P.chart_halfspaces
         Gz = self.G @ Q
         cz = self.cvec + self.G @ origin
-        k = len(Gz)
-        found: list[np.ndarray] = []
-        for i in range(k):
-            rows = [Ad]
-            rhs = [bd]
-            if k > 1:
-                others = [j for j in range(k) if j != i]
-                rows.append(Gz[others] - Gz[i])
-                rhs.append(cz[i] - cz[others])
-            pts = geometry.vertices_from_halfspaces(
-                np.vstack(rows), np.concatenate(rhs), d
-            )
-            if len(pts):
-                found.append(pts)
-        z = geometry._lex_sorted(np.vstack(found))
-        z = z[geometry.near_duplicate_leaders(z, 1e-9 * max(1.0, P.diameter))[0]]
+        out = []
+        for i in range(len(Gz)):
+            A = np.vstack([Ad, np.delete(Gz, i, axis=0) - Gz[i]])
+            b = np.concatenate([bd, cz[i] - np.delete(cz, i)])
+            out.append(geometry.vertices_from_halfspaces(A, b, d))
+        return out
+
+    def subdivision_vertices(self):
+        """Vertices of the activity subdivision of the domain, with values."""
+        z = geometry._lex_sorted(np.vstack(self._regions))
+        z = z[geometry.near_duplicate_leaders(z, 1e-9 * max(1.0, self.domain.diameter))[0]]
+        origin, Q = self.domain.chart
         x = origin + z @ Q.T
         return x, self.max_values(x)
 
@@ -258,27 +255,14 @@ class PAFn(ConvexFn):
     def cells(self):
         """Activity cells: list of (Polytope, AffineFn); full-dimensional
         relative to the domain, empty or thin cells are dropped."""
-        P = self.domain
-        if P is None:
-            raise BadInput("cells need a compact domain")
-        Ad, bd = P.halfspaces
+        regions = self._regions
+        origin, Q = self.domain.chart
         out = []
-        k = len(self.pieces)
-        for i in range(k):
-            rows = [Ad]
-            rhs = [bd]
-            if k > 1:
-                others = [j for j in range(k) if j != i]
-                rows.append(self.G[others] - self.G[i])
-                rhs.append(self.cvec[i] - self.cvec[others])
-            pts = geometry.vertices_from_halfspaces(
-                np.vstack(rows), np.concatenate(rhs), self.dim
-            )
-            if not len(pts):
-                continue
-            cell = hull(pts)
-            if cell.intrinsic_dim == P.intrinsic_dim:
-                out.append((cell, self.pieces[i]))
+        for z, piece in zip(regions, self.pieces):
+            if len(z):
+                cell = hull(origin + z @ Q.T)
+                if cell.intrinsic_dim == self.domain.intrinsic_dim:
+                    out.append((cell, piece))
         return out
 
     def lipschitz(self) -> float:
@@ -452,10 +436,11 @@ class PLQFn(ConvexFn):
 
 
 class CylinderFn(ConvexFn):
-    """w epi-summed with (v + indicator of a segment J); evaluated by reducing
-    the infimum to one variable along J."""
+    """A quadratic w epi-summed with (v + indicator of a segment J); evaluated
+    by reducing the infimum to one variable along J.  Piecewise affine bases
+    go through `make_cylinder`, which builds a PAFn instead."""
 
-    def __init__(self, w: ConvexFn, v: AffineFn, J: Polytope):
+    def __init__(self, w: QuadFn, v: AffineFn, J: Polytope):
         self.w = w
         self.v = v
         self.J = J
@@ -487,32 +472,15 @@ class CylinderFn(ConvexFn):
             return np.inf
         t_lo, t_hi = min(t_lo, t_hi), max(t_lo, t_hi)
         e = self.direction
-        if isinstance(self.w, QuadFn):
-            q = self.w.q
-            alpha = 0.5 * float(e @ q.A @ e)
-            beta = -float(z @ q.A @ e + q.b @ e) + float(self.v.grad @ e)
-            const = q(z) + self.v(self.p0)
-            if alpha > 1e-13:
-                t = float(np.clip(-beta / (2 * alpha), t_lo, t_hi))
-            else:
-                t = t_lo if beta >= 0 else t_hi
-            return alpha * t * t + beta * t + const
-        # piecewise affine w: convex piecewise linear in t, minimize over kinks
-        assert isinstance(self.w, PAFn)
-        slopes = -(self.w.G @ e) + self.v.grad @ e
-        offs = self.w.G @ z + self.w.cvec + self.v(self.p0)
-        cand = {t_lo, t_hi}
-        for i, j in itertools.combinations(range(len(slopes)), 2):
-            ds = slopes[i] - slopes[j]
-            if abs(ds) > 1e-13:
-                t = (offs[j] - offs[i]) / ds
-                if t_lo < t < t_hi:
-                    cand.add(float(t))
-        best = np.inf
-        for t in cand:
-            val = float(np.max(slopes * t + offs))
-            best = min(best, val)
-        return best
+        q = self.w.q
+        alpha = 0.5 * float(e @ q.A @ e)
+        beta = -float(z @ q.A @ e + q.b @ e) + float(self.v.grad @ e)
+        const = q(z) + self.v(self.p0)
+        if alpha > 1e-13:
+            t = float(np.clip(-beta / (2 * alpha), t_lo, t_hi))
+        else:
+            t = t_lo if beta >= 0 else t_hi
+        return alpha * t * t + beta * t + const
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +493,7 @@ def subdifferential(u: ConvexFn, x) -> SubdiffSet:
     x = np.asarray(x, dtype=float)
     if u.domain is not None and not u.domain.contains(x):
         raise OutsideDomain(f"{x.tolist()} is outside the domain")
-    if isinstance(u, PAFn):
-        grads = u.active_gradients(x)
-    elif isinstance(u, PLQFn):
+    if isinstance(u, (PAFn, PLQFn)):
         grads = u.active_gradients(x)
     elif isinstance(u, QuadFn):
         grads = u.q.gradient(x)[None, :]
@@ -758,7 +724,6 @@ def _meet_pa(u: PAFn, v: PAFn) -> PAFn:
 
 
 def _min_cells(R: Polytope, qi: QuadraticFn, qj: QuadraticFn, take_max: bool = False):
-    n = R.dim
     dA = qi.A - qj.A
     scale = max(1.0, float(np.abs(qi.A).max(initial=0.0)), float(np.abs(qj.A).max(initial=0.0)))
     if np.abs(dA).max(initial=0.0) <= EPS_GEOM * scale:
@@ -768,21 +733,12 @@ def _min_cells(R: Polytope, qi: QuadraticFn, qj: QuadraticFn, take_max: bool = F
             pick = qi if (c0 <= 0) != take_max else qj
             return [(R, pick)]
         # difference is affine: split along its zero hyperplane
-        A, b = R.halfspaces
-        lo = geometry.vertices_from_halfspaces(
-            np.vstack([A, g[None, :]]), np.append(b, -c0), n)
-        hi = geometry.vertices_from_halfspaces(
-            np.vstack([A, -g[None, :]]), np.append(b, c0), n)
-        out = []
         first, second = (qi, qj) if not take_max else (qj, qi)
-        if len(lo):
-            part = hull(lo)
-            if not part.is_degenerate:
-                out.append((part, first))
-        if len(hi):
-            part = hull(hi)
-            if not part.is_degenerate:
-                out.append((part, second))
+        out = []
+        for a, beta, q in ((g, -c0, first), (-g, c0, second)):
+            part = geometry.halfspace_cut(R, a, beta)
+            if part is not None and not part.is_degenerate:
+                out.append((part, q))
         return out if out else [(R, qi)]
     # different Hessians: only accept when one dominates throughout the cell
     samples = _cell_samples(R)
@@ -796,16 +752,7 @@ def _min_cells(R: Polytope, qi: QuadraticFn, qj: QuadraticFn, take_max: bool = F
 
 
 def _cell_samples(R: Polytope) -> np.ndarray:
-    v = R.vertices
-    mids = np.array([(a + b) / 2 for a, b in itertools.combinations(v, 2)]) \
-        if len(v) > 1 else np.zeros((0, R.dim))
-    grid = R.grid_points(5) if not R.is_degenerate else np.zeros((0, R.dim))
-    parts = [v, R.barycenter[None, :]]
-    if len(mids):
-        parts.append(mids)
-    if len(grid):
-        parts.append(grid)
-    return np.vstack(parts)
+    return np.vstack([_facet_samples(R), R.grid_points(5)])
 
 
 def _refined_cells(u: PLQFn, v: PLQFn, take_max: bool):

@@ -25,12 +25,6 @@ def random_polytope(rng: np.random.Generator, n: int, scale: float = 2.0) -> Pol
             return P
 
 
-def random_box(rng: np.random.Generator, n: int, scale: float = 2.0) -> Polytope:
-    lo = rng.uniform(-scale, 0.0, n)
-    hi = lo + rng.uniform(0.5, scale, n)
-    return box(lo, hi)
-
-
 def random_pa(rng: np.random.Generator, n: int, kmax: int = 6) -> PAFn:
     """Random compact-domain max-of-affines, pruned on its domain."""
     dom = random_polytope(rng, n)
@@ -53,11 +47,6 @@ def random_psd(rng: np.random.Generator, n: int, lo: float = 0.3, hi: float = 3.
     Q, _ = np.linalg.qr(M + 3 * np.eye(n))
     eigs = rng.uniform(lo, hi, n)
     return Q @ np.diag(eigs) @ Q.T
-
-
-def random_quad_box(rng: np.random.Generator, n: int) -> QuadFn:
-    q = QuadraticFn(random_psd(rng, n), rng.uniform(-1, 1, n), float(rng.uniform(-1, 1)))
-    return QuadFn(q, random_box(rng, n))
 
 
 def random_unimodular(rng: np.random.Generator, n: int, shears: int = 3) -> AffineMap:

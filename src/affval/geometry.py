@@ -6,8 +6,8 @@ first-class values with volume zero; they expose an affine chart
 (origin, orthonormal basis) so that operations can run inside the affine hull.
 
 All values are immutable after construction and all operations are pure.
-Coordinates are plain floats; a single geometric tolerance EPS_GEOM governs
-identity tests on unit-scale data, FEAS_TOL governs containment slack.
+Coordinates are plain floats; EPS_GEOM governs identity tests on unit-scale
+data and FEAS_TOL containment slack.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ def near_duplicate_leaders(X: np.ndarray, tol: float | np.ndarray, prefer=None):
 
 
 def _lex_sorted(pts: np.ndarray) -> np.ndarray:
-    order = np.lexsort(pts.T[::-1])
-    return pts[order]
+    # points in R^0 (the chart of a point) are already in order
+    return pts[np.lexsort(pts.T[::-1])] if pts.shape[1] else pts
 
 
 def _snap_columns(pts: np.ndarray, tol: float) -> np.ndarray:
@@ -426,6 +426,27 @@ def vertices_from_halfspaces(A: np.ndarray, b: np.ndarray, dim: int) -> np.ndarr
     return pts[near_duplicate_leaders(pts, 1e-7 * max(1.0, float(np.abs(pts).max())))[0]]
 
 
+def halfspaces_bounded(A: np.ndarray) -> bool:
+    """Whether {x : A x <= b} is bounded (for every b): the normals must
+    positively span R^n, i.e. 0 must lie strictly inside their unit hull."""
+    norms = np.linalg.norm(A, axis=1)
+    U = A[norms > 0] / norms[norms > 0, None]
+    if U.shape[1] == 1:
+        return U.min(initial=0.0) < 0.0 < U.max(initial=0.0)
+    try:
+        offsets = ConvexHull(U).equations[:, -1]
+    except (QhullError, ValueError):
+        # too few normals, or all of them in a proper subspace
+        return False
+    return bool(np.all(offsets < -EPS_GEOM))
+
+
+def from_halfspaces(A: np.ndarray, b: np.ndarray, dim: int) -> Polytope | None:
+    """The polytope {x : A x <= b}, or None when it has no vertex."""
+    pts = vertices_from_halfspaces(A, b, dim)
+    return hull(pts) if len(pts) else None
+
+
 def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     if P.dim != Q.dim:
         raise DimMismatch(f"{P.dim} vs {Q.dim}")
@@ -439,10 +460,7 @@ def intersect(P: Polytope, Q: Polytope) -> Polytope | None:
         raise DimMismatch(f"{P.dim} vs {Q.dim}")
     A1, b1 = P.halfspaces
     A2, b2 = Q.halfspaces
-    pts = vertices_from_halfspaces(np.vstack([A1, A2]), np.concatenate([b1, b2]), P.dim)
-    if len(pts) == 0:
-        return None
-    return hull(pts)
+    return from_halfspaces(np.vstack([A1, A2]), np.concatenate([b1, b2]), P.dim)
 
 
 def affine_image(P: Polytope, m: "AffineMap") -> Polytope:
@@ -463,11 +481,9 @@ def polytope_difference(P: Polytope, Q: Polytope) -> list[Polytope]:
     for a, beta in zip(AQ, bQ):
         A = np.vstack([AP, -a[None, :]] + [r[None, :] for r in acc_A])
         b = np.concatenate([bP, [-beta], np.asarray(acc_b)])
-        pts = vertices_from_halfspaces(A, b, P.dim)
-        if len(pts):
-            piece = hull(pts)
-            if not piece.is_degenerate:
-                parts.append(piece)
+        piece = from_halfspaces(A, b, P.dim)
+        if piece is not None and not piece.is_degenerate:
+            parts.append(piece)
         acc_A.append(a)
         acc_b.append(beta)
     return parts
@@ -477,12 +493,7 @@ def halfspace_cut(P: Polytope, a, beta: float) -> Polytope | None:
     """P intersected with {x : <a, x> <= beta}, or None when empty."""
     a = np.asarray(a, dtype=float)
     A, b = P.halfspaces
-    pts = vertices_from_halfspaces(
-        np.vstack([A, a[None, :]]), np.append(b, float(beta)), P.dim
-    )
-    if len(pts) == 0:
-        return None
-    return hull(pts)
+    return from_halfspaces(np.vstack([A, a[None, :]]), np.append(b, float(beta)), P.dim)
 
 
 def vertex_sets_equal(P: Polytope, Q: Polytope, tol: float = EPS_GEOM) -> bool:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BadInput
 from .funcs import AffineFn, ConvexFn, PAFn, PLQFn, QuadraticFn, certify_plq
-from .geometry import Polytope, hull, vertices_from_halfspaces
+from .geometry import Polytope, from_halfspaces, halfspaces_bounded, hull
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +92,16 @@ def polytope_from_dict(d: dict) -> Polytope:
         rows = d["halfspaces"]
         A = np.array([r["normal"] for r in rows], dtype=float)
         b = np.array([r["offset"] for r in rows], dtype=float)
-        dim = d.get("dim", A.shape[1])
-        pts = vertices_from_halfspaces(A, b, int(dim))
-        if len(pts) == 0:
-            raise BadInput("halfspace description is empty or unbounded")
-        return hull(pts)
+        dim = int(d.get("dim", A.shape[-1]))
+        if A.ndim != 2 or A.shape[1] != dim:
+            raise BadInput(f"halfspace normals must be {dim}-vectors")
+        if not halfspaces_bounded(A):
+            raise BadInput("halfspace description is unbounded: the normals do not "
+                           "positively span the space")
+        P = from_halfspaces(A, b, dim)
+        if P is None:
+            raise BadInput("halfspace description is empty")
+        return P
     raise BadInput("polytope needs 'vertices' or 'halfspaces'")
 
 
@@ -131,23 +136,41 @@ def function_to_dict(u: ConvexFn) -> dict:
     raise BadInput(f"cannot serialize {type(u).__name__}")
 
 
+def _array(value, shape: tuple, path: str) -> np.ndarray:
+    """`value` as a float array of the given shape; BadInput naming the JSON
+    path otherwise."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise BadInput(f"{path} is not a numeric array") from None
+    if arr.ndim == 0:
+        # a bare number stands for a 1-vector or a 1x1 matrix
+        arr = arr.reshape((1,) * len(shape))
+    if arr.shape != shape:
+        raise BadInput(f"{path} has shape {list(arr.shape)}, expected {list(shape)}")
+    return arr
+
+
 def function_from_dict(d: dict) -> ConvexFn:
     kind = d.get("type")
     if kind == "indicator":
         return PAFn.indicator(polytope_from_dict(d["domain"]))
     if kind == "pa":
-        pieces = [AffineFn(np.asarray(p["grad"], dtype=float), float(p["c"]))
-                  for p in d["pieces"]]
         dom = d.get("domain")
         dom = None if dom is None else polytope_from_dict(dom)
+        # the domain, or else the first piece, fixes the dimension
+        first = d["pieces"][0]["grad"] if d["pieces"] else []
+        n = dom.dim if dom is not None else np.size(first)
+        pieces = [AffineFn(_array(p["grad"], (n,), f"pieces[{i}].grad"), float(p["c"]))
+                  for i, p in enumerate(d["pieces"])]
         return PAFn(pieces, dom, is_cylinder=bool(d.get("cylinder", False)))
     if kind == "plq":
-        cells = [
-            (polytope_from_dict(c["poly"]),
-             QuadraticFn(np.asarray(c["A"], dtype=float),
-                         np.asarray(c["b"], dtype=float), float(c["c"])))
-            for c in d["cells"]
-        ]
+        cells = []
+        for i, c in enumerate(d["cells"]):
+            P = polytope_from_dict(c["poly"])
+            cells.append((P, QuadraticFn(_array(c["A"], (P.dim, P.dim), f"cells[{i}].A"),
+                                         _array(c["b"], (P.dim,), f"cells[{i}].b"),
+                                         float(c["c"]))))
         return certify_plq(cells)
     raise BadInput(f"unknown function type {kind!r}")
 

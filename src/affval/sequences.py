@@ -28,7 +28,7 @@ from .funcs import (
 from .geometry import AffineMap, Polytope, box, cube
 from .report import CheckReport
 from .transforms import EnvelopeFn, envelope_eval, inf_conv_pa, separable_clip_plq
-from .valuations import ConcFn, Valuation, apply
+from .valuations import ConcFn, Valuation, _fd_hessians, _hessian_stencil, apply
 
 
 # ---------------------------------------------------------------------------
@@ -316,24 +316,6 @@ def zonotope_segment_approx(mu: float, m: int) -> ZonotopeApprox:
 # touching quadratic patches
 
 
-def _fd_hessian(f: ConvexFn, x: np.ndarray, h: float) -> np.ndarray:
-    n = len(x)
-    H = np.zeros((n, n))
-    f0 = f.evaluate(x)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        H[i, i] = (f.evaluate(x + ei) - 2 * f0 + f.evaluate(x - ei)) / (h * h)
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            H[i, j] = H[j, i] = (
-                f.evaluate(x + ei + ej) - f.evaluate(x + ei - ej)
-                - f.evaluate(x - ei + ej) + f.evaluate(x - ei - ej)
-            ) / (4 * h * h)
-    return H
-
-
 def patch_smallness_bound(rho: float, lam: float, n: int, zeta: ConcFn) -> float:
     """Largest admissible sharpening parameter t for the touching patch so
     that the slack rho controls both volume-ratio estimates; always < 1/16."""
@@ -362,7 +344,8 @@ def touching_patch(env: EnvelopeFn, x0, t: float, r: float, lc: PAFn) -> PLQFn:
         raise BadParameter(f"t must lie in (0, 1/16), got {t}")
     if env.domain.boundary_distance(x0) > -1e-9:
         raise BadParameter("x0 must be interior to the envelope domain")
-    hess = _fd_hessian(env, x0, 1e-5 * max(1.0, env.domain.diameter))
+    h = 1e-5 * max(1.0, env.domain.diameter)
+    hess = _fd_hessians(env.eval_many(x0 + _hessian_stencil(n, h))[None, :], n, h)[0]
     min_eig = float(np.linalg.eigvalsh(hess).min())
     if min_eig <= 0.01 * env.lam:
         raise BadParameter(

@@ -36,6 +36,7 @@ from .funcs import (
     PLQFn,
     QuadFn,
     QuadraticFn,
+    _as_plq,
     _dedupe_pieces,
     certify_plq,
     lower_hull_pieces,
@@ -134,22 +135,6 @@ def min_quadratic_over_polytope(H, f, A, b):
     return best_val, best_y
 
 
-def _quad_cells(u: ConvexFn):
-    """Cells of u as (halfspaces A, offsets b, QuadraticFn)."""
-    if isinstance(u, PAFn):
-        out = []
-        for P, l in u.cells:
-            A, b = P.halfspaces
-            out.append((A, b, QuadraticFn(np.zeros((u.dim, u.dim)), l.grad, l.c)))
-        return out
-    if isinstance(u, PLQFn):
-        return [(P.halfspaces[0], P.halfspaces[1], q) for P, q in u.cells]
-    if isinstance(u, QuadFn):
-        A, b = u.domain.halfspaces
-        return [(A, b, u.q)]
-    raise BadInput(f"unsupported envelope base {type(u).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # box-constrained Moreau envelope
 
@@ -172,16 +157,7 @@ class EnvelopeFn(ConvexFn):
         self.dim = base.dim
         self.domain = minkowski_sum(base.domain, cube(base.dim, mu))
         self.is_cylinder = False
-        self._cells = _quad_cells(base)
-        # cell bounding boxes let evaluation skip cells out of reach of the
-        # mu-box around the query point
-        self._cell_bounds = []
-        for A_c, b_c, _ in self._cells:
-            pts = geometry.vertices_from_halfspaces(A_c, b_c, base.dim)
-            if len(pts):
-                self._cell_bounds.append((pts.min(axis=0), pts.max(axis=0)))
-            else:
-                self._cell_bounds.append(None)
+        self._cells = _as_plq(base).cells
 
     def evaluate(self, x) -> float:
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -196,11 +172,12 @@ class EnvelopeFn(ConvexFn):
         box_A = np.vstack([eye, -eye])
         box_b = np.concatenate([x + self.mu, self.mu - x])
         best = (np.inf, None, None)
-        for (A_c, b_c, q), bounds in zip(self._cells, self._cell_bounds):
-            if bounds is not None:
-                lo, hi = bounds
-                if np.any(lo > x + self.mu + 1e-12) or np.any(hi < x - self.mu - 1e-12):
-                    continue
+        for P, q in self._cells:
+            # skip cells out of reach of the mu-box around x
+            lo, hi = P.bbox
+            if np.any(lo > x + self.mu + 1e-12) or np.any(hi < x - self.mu - 1e-12):
+                continue
+            A_c, b_c = P.halfspaces
             A = np.vstack([A_c, box_A])
             b = np.concatenate([b_c, box_b])
             H = q.A + self.lam * eye

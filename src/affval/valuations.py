@@ -205,8 +205,9 @@ def _hessian_stencil(n: int, h: float):
     return np.array(offsets)
 
 
-def _fd_hessian_dets(f_vals: np.ndarray, n: int, h: float) -> np.ndarray:
-    """Determinants of central-difference Hessians from stencil values."""
+def _fd_hessians(f_vals: np.ndarray, n: int, h: float) -> np.ndarray:
+    """Central-difference Hessians from values on `_hessian_stencil`, one
+    row of values per point."""
     m = len(f_vals)
     H = np.zeros((m, n, n))
     idx = 1
@@ -218,7 +219,7 @@ def _fd_hessian_dets(f_vals: np.ndarray, n: int, h: float) -> np.ndarray:
         val = (pp - pm - mp + mm) / (4 * h * h)
         H[:, i, j] = H[:, j, i] = val
         idx += 4
-    return np.linalg.det(H)
+    return H
 
 
 def z_zeta_numeric(f, dom: Polytope, zeta: ConcFn, grid: int | None = None,
@@ -262,11 +263,9 @@ def z_zeta_numeric(f, dom: Polytope, zeta: ConcFn, grid: int | None = None,
         c = centers[ci]
         rows = np.vstack([A, cell_rows])
         offs = np.concatenate([b, c + delta / 2, -(c - delta / 2)])
-        pts = geometry.vertices_from_halfspaces(rows, offs, n)
-        if len(pts):
-            piece = geometry.hull(pts)
-            if not piece.is_degenerate:
-                weights[ci] = piece.volume
+        piece = geometry.from_halfspaces(rows, offs, n)
+        if piece is not None and not piece.is_degenerate:
+            weights[ci] = piece.volume
 
     covered = weights > 0
     if not covered.any():
@@ -281,7 +280,7 @@ def z_zeta_numeric(f, dom: Polytope, zeta: ConcFn, grid: int | None = None,
         vals = np.asarray(eval_many(batch), dtype=float).reshape(len(pts), -1)
         if not np.all(np.isfinite(vals)):
             raise EvalError("non-finite sample inside the integration domain")
-        dets = np.maximum(_fd_hessian_dets(vals, n, h), 0.0)
+        dets = np.maximum(np.linalg.det(_fd_hessians(vals, n, h)), 0.0)
         integrand[safe] = zeta(dets)
         rest = covered & ~safe
         if rest.any():

@@ -147,6 +147,27 @@ def test_cli_malformed_json_exits_2(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+WEDGE = {"dim": 2, "halfspaces": [{"normal": [-1, 0], "offset": 0},
+                                  {"normal": [0, -1], "offset": 0},
+                                  {"normal": [1, -1], "offset": 1}]}
+TRIANGLE = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"type": "indicator", "domain": WEDGE}, "unbounded"),
+    ({"type": "plq", "cells": [{"poly": TRIANGLE, "A": [[1, 0, 0], [0, 1, 0]],
+                                "b": [0, 0], "c": 0}]}, "cells[0].A"),
+    ({"type": "plq", "cells": [{"poly": TRIANGLE, "A": [[1, 0], [0, 1]],
+                                "b": [0, 0, 0], "c": 0}]}, "cells[0].b"),
+    ({"type": "pa", "pieces": [{"grad": [1, 0], "c": 0}, {"grad": [1], "c": 0}],
+      "domain": TRIANGLE}, "pieces[1].grad"),
+])
+def test_cli_rejects_unbounded_or_misshapen_input(tmp_path, capsys, obj, message):
+    f = write(tmp_path, "f.json", obj)
+    assert main(["zvalue", f, "--zeta", "sqrt", "--c1", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_usage_error_exits_2():
     assert main(["no-such-command"]) == 2
 

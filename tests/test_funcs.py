@@ -18,7 +18,15 @@ from affval.funcs import (
     meet,
     subdifferential,
 )
-from affval.geometry import box, cube, point, segment
+from affval.geometry import (
+    box,
+    cube,
+    hull,
+    point,
+    segment,
+    vertex_sets_equal,
+    vertices_from_halfspaces,
+)
 
 
 def abs_on_interval():
@@ -229,6 +237,47 @@ def test_certify_accepts_tangent_matched_cells():
     u = certify_plq([(box([-1], [1]), core), (box([1], [2]), collar)])
     assert len(u.cells) == 2
     assert u.certificate
+
+
+# -- activity cells -------------------------------------------------------------
+
+
+def ambient_cells(u):
+    """Activity cells enumerated piece by piece in ambient coordinates: an
+    oracle for PAFn.cells, which works in the domain chart."""
+    Ad, bd = u.domain.halfspaces
+    out = []
+    for i, piece in enumerate(u.pieces):
+        others = [j for j in range(len(u.pieces)) if j != i]
+        pts = vertices_from_halfspaces(np.vstack([Ad, u.G[others] - u.G[i]]),
+                                       np.concatenate([bd, u.cvec[i] - u.cvec[others]]), u.dim)
+        if len(pts):
+            cell = hull(pts)
+            if cell.intrinsic_dim == u.domain.intrinsic_dim:
+                out.append((cell, piece))
+    return out
+
+
+def random_pieces(rng, n, k):
+    return [AffineFn(rng.uniform(-2, 2, n), float(rng.uniform(-1, 1))) for _ in range(k)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cells_match_ambient_enumeration(seed):
+    rng = np.random.default_rng(seed)
+    fns = [generators.random_pa(rng, n) for n in (1, 2, 3)]
+    fns += [
+        PAFn(random_pieces(rng, 2, 4), segment(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))),
+        PAFn(random_pieces(rng, 3, 4), segment(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))),
+        PAFn(random_pieces(rng, 3, 5), hull(rng.uniform(-1, 1, (3, 3)))),
+        PAFn(random_pieces(rng, 2, 3), point(rng.uniform(-1, 1, 2))),
+    ]
+    for u in fns:
+        got, want = u.cells, ambient_cells(u)
+        assert [l for _, l in got] == [l for _, l in want]
+        assert len(got) >= 1
+        for (P, _), (Q, _) in zip(got, want):
+            assert vertex_sets_equal(P, Q, tol=1e-9)
 
 
 # -- cylinders ----------------------------------------------------------------

@@ -9,6 +9,8 @@ from affval.geometry import (
     affine_image,
     box,
     cube,
+    from_halfspaces,
+    halfspaces_bounded,
     hull,
     intersect,
     minkowski_sum,
@@ -16,6 +18,7 @@ from affval.geometry import (
     point,
     polytope_difference,
     segment,
+    vertex_sets_equal,
     vertices_from_halfspaces,
 )
 
@@ -164,6 +167,27 @@ def test_vertices_from_halfspaces_unit_box():
     b = np.array([1.0, 0, 1, 0])
     pts = vertices_from_halfspaces(A, b, 2)
     assert len(pts) == 4
+
+
+def test_from_halfspaces_box_and_empty():
+    A = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
+    P = from_halfspaces(A, np.array([1.0, 0, 1, 0]), 2)
+    assert vertex_sets_equal(P, box([0, 0], [1, 1]))
+    # x <= 1 and x >= 2: no point
+    assert from_halfspaces(A, np.array([1.0, -2, 1, 0]), 2) is None
+
+
+@pytest.mark.parametrize("normals, bounded", [
+    ([[1.0], [-1.0]], True),
+    ([[1.0], [2.0]], False),
+    ([[1.0, 0], [-1, 0], [0, 1], [0, -1]], True),
+    ([[-1.0, 0], [0, -1], [1, -1]], False),          # a wedge
+    ([[1.0, 0], [-1, 0], [0, 0]], False),            # a strip
+    ([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], False),
+    (np.vstack([np.eye(3), -np.eye(3)]), True),
+])
+def test_halfspaces_bounded(normals, bounded):
+    assert halfspaces_bounded(np.asarray(normals, dtype=float)) == bounded
 
 
 def test_polytope_difference_partitions():

@@ -272,6 +272,10 @@ def test_patch_parameter_validation():
     high = PAFn([AffineFn([0.0], 10.0)], box([-2], [2]))
     with pytest.raises(BadParameter):
         touching_patch(env, [0.0], 1.0 / 32, 0.1, high)
+    # the envelope of the indicator of [-1, 1] is flat at 0
+    flat = moreau_box(PAFn.indicator(box([-1], [1])), 1.0, 1.0)
+    with pytest.raises(BadParameter, match="curvature .* degenerate"):
+        touching_patch(flat, [0.0], 1.0 / 32, 0.1, lc)
 
 
 # -- anisotropic scaling ----------------------------------------------------------
