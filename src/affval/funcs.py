@@ -25,7 +25,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
 
 from . import geometry
 from .errors import (
@@ -37,9 +36,10 @@ from .errors import (
     NotConvex,
     OutsideDomain,
 )
-from .geometry import EPS_GEOM, FEAS_TOL, Polytope, hull, intersect, minkowski_sum
-
-ACTIVE_TOL = 1e-8  # a piece counts as active when within this of the max
+from .geometry import Polytope, hull, intersect, minkowski_sum
+from .numerics import (ACTIVE_TOL, CERT_TOL, DOMINATE_TOL, EPS_GEOM, ESSENTIAL_LP_TOL, FEAS_TOL,
+                       GRAD_TOL, LINE_COEF_TOL, LOWER_FACET_TOL, MERGE_TOL, OVERLAP_TOL,
+                       SUBDIVISION_MERGE_TOL, scale_of)
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +82,7 @@ class QuadraticFn:
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        scale = max(1.0, float(np.abs(A).max(initial=0.0)))
-        if np.abs(A - A.T).max(initial=0.0) > EPS_GEOM * scale:
+        if np.abs(A - A.T).max(initial=0.0) > EPS_GEOM * scale_of(A):
             raise BadInput("quadratic matrix is not symmetric")
         object.__setattr__(self, "A", 0.5 * (A + A.T))
         object.__setattr__(self, "b", b)
@@ -208,12 +207,11 @@ class PAFn(ConvexFn):
             vals = np.where(self.domain.contains_many(X), vals, np.inf)
         return vals
 
-    def active_gradients(self, x, tol: float = ACTIVE_TOL) -> np.ndarray:
+    def active_gradients(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         vals = self.G @ x + self.cvec
         top = vals.max()
-        scale = max(1.0, abs(top))
-        return self.G[vals >= top - tol * scale]
+        return self.G[vals >= top - ACTIVE_TOL * scale_of(top)]
 
     @cached_property
     def _regions(self) -> list[np.ndarray]:
@@ -231,7 +229,7 @@ class PAFn(ConvexFn):
         if d == 0:
             # R^0 has one point; the slack is that of vertices_from_halfspaces
             vals = self.G @ origin + self.cvec
-            tol = FEAS_TOL * max(1.0, float(np.abs(origin).max()))
+            tol = FEAS_TOL * scale_of(origin)
             return [np.zeros((int(v >= vals.max() - tol), 0)) for v in vals]
         Ad, bd = P.chart_halfspaces
         Gz = self.G @ Q
@@ -246,7 +244,8 @@ class PAFn(ConvexFn):
     def subdivision_vertices(self):
         """Vertices of the activity subdivision of the domain, with values."""
         z = geometry._lex_sorted(np.vstack(self._regions))
-        z = z[geometry.near_duplicate_leaders(z, 1e-9 * max(1.0, self.domain.diameter))[0]]
+        tol = SUBDIVISION_MERGE_TOL * scale_of(self.domain.diameter)
+        z = z[geometry.near_duplicate_leaders(z, tol)[0]]
         origin, Q = self.domain.chart
         x = origin + z @ Q.T
         return x, self.max_values(x)
@@ -321,8 +320,7 @@ class QuadFn(ConvexFn):
     """A convex quadratic, optionally restricted to a polytope."""
 
     def __init__(self, q: QuadraticFn, domain: Polytope | None = None, is_cylinder: bool = False):
-        scale = max(1.0, float(np.abs(q.A).max(initial=0.0)))
-        if q.min_eigenvalue < -EPS_GEOM * scale:
+        if q.min_eigenvalue < -EPS_GEOM * scale_of(q.A):
             raise NotConvex(f"quadratic part has eigenvalue {q.min_eigenvalue:.3e}")
         if domain is not None and domain.dim != q.dim:
             raise DimMismatch("domain dimension mismatch")
@@ -390,12 +388,11 @@ class PLQFn(ConvexFn):
                 vals[mask] = np.minimum(vals[mask], q.eval_many(X[mask]))
         return vals
 
-    def active_gradients(self, x, tol: float = ACTIVE_TOL) -> np.ndarray:
+    def active_gradients(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         val = self.evaluate(x)
-        scale = max(1.0, abs(val))
-        out = [q.gradient(x) for P, q in self.cells
-               if P.contains(x) and abs(q(x) - val) <= tol * scale]
+        tol = ACTIVE_TOL * scale_of(val)
+        out = [q.gradient(x) for P, q in self.cells if P.contains(x) and abs(q(x) - val) <= tol]
         return np.array(out)
 
     def lipschitz(self) -> float:
@@ -459,7 +456,7 @@ class CylinderFn(ConvexFn):
         r = b - A @ z
         t_lo, t_hi = 0.0, 1.0
         for ai, ri in zip(a, r):
-            if abs(ai) < 1e-13:
+            if abs(ai) < LINE_COEF_TOL:
                 if ri < -FEAS_TOL:
                     return np.inf
                 continue
@@ -476,7 +473,7 @@ class CylinderFn(ConvexFn):
         alpha = 0.5 * float(e @ q.A @ e)
         beta = -float(z @ q.A @ e + q.b @ e) + float(self.v.grad @ e)
         const = q(z) + self.v(self.p0)
-        if alpha > 1e-13:
+        if alpha > LINE_COEF_TOL:
             t = float(np.clip(-beta / (2 * alpha), t_lo, t_hi))
         else:
             t = t_lo if beta >= 0 else t_hi
@@ -526,8 +523,7 @@ def lipschitz_constant(u: ConvexFn) -> float:
 
 def _dedupe_pieces(G: np.ndarray, c: np.ndarray):
     """Merge pieces with equal gradients, keeping the largest intercept."""
-    scale = max(1.0, float(np.abs(G).max(initial=0.0)))
-    keep, _ = geometry.near_duplicate_leaders(G, 1e-12 * scale, prefer=c)
+    keep, _ = geometry.near_duplicate_leaders(G, GRAD_TOL * scale_of(G), prefer=c)
     keep.sort()
     return G[keep], c[keep]
 
@@ -548,7 +544,7 @@ def essential_mask_global(G: np.ndarray, c: np.ndarray) -> np.ndarray:
         # intercepts affine in the gradients: essential = extreme gradients
         ext = hull(Z).vertices
         gap = np.abs(Z[:, None, :] - ext[None, :, :]).max(axis=2).min(axis=1)
-        return gap <= 1e-9 * max(1.0, np.abs(Z).max())
+        return gap <= EPS_GEOM * scale_of(Z)
     mask[simplices.ravel()] = True
     return mask
 
@@ -583,7 +579,7 @@ def essential_mask_on_domain(G: np.ndarray, c: np.ndarray, P: Polytope) -> np.nd
             bounds=[(None, None)] * d + [(-1.0, 1.0)],
             method="highs",
         )
-        mask[i] = res.status == 0 and -res.fun > 1e-11
+        mask[i] = res.status == 0 and -res.fun > ESSENTIAL_LP_TOL
     return mask
 
 
@@ -606,11 +602,8 @@ def lower_facets(z: np.ndarray, vals: np.ndarray):
     if lr <= d:
         coef, *_ = np.linalg.lstsq(np.column_stack([z, np.ones(len(z))]), vals, rcond=None)
         return coef[None, :d], coef[d:], None
-    try:
-        ch = ConvexHull(lifted)
-    except QhullError:
-        ch = ConvexHull(lifted, qhull_options="QJ1e-12")
-    lower = ch.equations[:, d] < -1e-10
+    ch = geometry._qhull(lifted)
+    lower = ch.equations[:, d] < -LOWER_FACET_TOL
     a = ch.equations[lower]
     return -a[:, :d] / a[:, d:d + 1], -a[:, d + 1] / a[:, d], ch.simplices[lower]
 
@@ -624,8 +617,7 @@ def lower_hull_pieces(points: np.ndarray, values: np.ndarray):
     origin, Q, d = geometry._affine_chart(pts)
     z = (pts - origin) @ Q
     # merge coincident base points, keeping the lowest value
-    scale = max(1.0, float(np.abs(z).max(initial=0.0)))
-    keep, _ = geometry.near_duplicate_leaders(z, 1e-10 * scale, prefer=-vals)
+    keep, _ = geometry.near_duplicate_leaders(z, MERGE_TOL * scale_of(z), prefer=-vals)
     z, vals = z[keep], vals[keep]
     domain = hull(pts)
     if d == 0:
@@ -710,7 +702,7 @@ def _min_certificate(w: ConvexFn, u: ConvexFn, v: ConvexFn, D: Polytope):
         raise NotConvex("reconstructed function misses part of the union")
     scale = 1.0 + float(np.abs(mv[both]).max(initial=0.0))
     gap = float(np.abs(wv[both] - mv[both]).max(initial=0.0))
-    if gap > 1e-7 * scale:
+    if gap > CERT_TOL * scale:
         raise NotConvex(f"pointwise min differs from its convexification by {gap:.3e}")
 
 
@@ -725,11 +717,10 @@ def _meet_pa(u: PAFn, v: PAFn) -> PAFn:
 
 def _min_cells(R: Polytope, qi: QuadraticFn, qj: QuadraticFn, take_max: bool = False):
     dA = qi.A - qj.A
-    scale = max(1.0, float(np.abs(qi.A).max(initial=0.0)), float(np.abs(qj.A).max(initial=0.0)))
-    if np.abs(dA).max(initial=0.0) <= EPS_GEOM * scale:
+    if np.abs(dA).max(initial=0.0) <= EPS_GEOM * scale_of(qi.A, qj.A):
         g = qi.b - qj.b
         c0 = qi.c - qj.c
-        if np.abs(g).max(initial=0.0) <= 1e-12:
+        if np.abs(g).max(initial=0.0) <= GRAD_TOL:
             pick = qi if (c0 <= 0) != take_max else qj
             return [(R, pick)]
         # difference is affine: split along its zero hyperplane
@@ -743,7 +734,7 @@ def _min_cells(R: Polytope, qi: QuadraticFn, qj: QuadraticFn, take_max: bool = F
     # different Hessians: only accept when one dominates throughout the cell
     samples = _cell_samples(R)
     d = qi.eval_many(samples) - qj.eval_many(samples)
-    tol = 1e-9 * (1.0 + float(np.abs(d).max(initial=0.0)))
+    tol = DOMINATE_TOL * (1.0 + float(np.abs(d).max(initial=0.0)))
     if np.all(d <= tol):
         return [(R, qi if not take_max else qj)]
     if np.all(d >= -tol):
@@ -822,12 +813,11 @@ def certify_plq(cells, domain: Polytope | None = None) -> PLQFn:
         raise NotConvex("no full-dimensional cells")
     n = cs[0][0].dim
     for idx, (P, q) in enumerate(cs):
-        scale = max(1.0, float(np.abs(q.A).max(initial=0.0)))
-        if q.min_eigenvalue < -EPS_GEOM * scale:
+        if q.min_eigenvalue < -EPS_GEOM * scale_of(q.A):
             raise NotConvex(f"cell {idx}: quadratic not PSD (min eig {q.min_eigenvalue:.3e})")
     dom = domain if domain is not None else hull(np.vstack([P.vertices for P, _ in cs]))
     total = sum(P.volume for P, _ in cs)
-    if abs(total - dom.volume) > 1e-7 * (1.0 + dom.volume):
+    if abs(total - dom.volume) > CERT_TOL * (1.0 + dom.volume):
         raise NotConvex(
             f"cells cover {total:.12g} of domain volume {dom.volume:.12g}")
     facet_checks = []
@@ -836,7 +826,7 @@ def certify_plq(cells, domain: Polytope | None = None) -> PLQFn:
         if R is None:
             continue
         if R.intrinsic_dim == n:
-            if R.volume > 1e-9 * (1.0 + min(Pi.volume, Pj.volume)):
+            if R.volume > OVERLAP_TOL * (1.0 + min(Pi.volume, Pj.volume)):
                 raise NotConvex(f"cells {i} and {j} have overlapping interiors")
             continue
         if R.intrinsic_dim != n - 1:
@@ -846,14 +836,14 @@ def certify_plq(cells, domain: Polytope | None = None) -> PLQFn:
         vj = qj.eval_many(samples)
         vscale = 1.0 + float(max(np.abs(vi).max(), np.abs(vj).max()))
         cont = float(np.abs(vi - vj).max())
-        if cont > 1e-7 * vscale:
+        if cont > CERT_TOL * vscale:
             raise NotConvex(f"value jump {cont:.3e} across facet of cells {i},{j}")
         nu = _facet_normal(R, n)
         if nu @ (Pj.barycenter - Pi.barycenter) < 0:
             nu = -nu
         jump = (samples @ (qj.A - qi.A).T + (qj.b - qi.b)) @ nu
         mono = float(jump.min())
-        if mono < -1e-7 * (1.0 + float(np.abs(jump).max())):
+        if mono < -CERT_TOL * (1.0 + float(np.abs(jump).max())):
             raise NotConvex(
                 f"gradient jump {mono:.3e} against the facet normal of cells {i},{j}")
         facet_checks.append((i, j, cont, mono))

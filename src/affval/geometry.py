@@ -6,8 +6,7 @@ first-class values with volume zero; they expose an affine chart
 (origin, orthonormal basis) so that operations can run inside the affine hull.
 
 All values are immutable after construction and all operations are pure.
-Coordinates are plain floats; EPS_GEOM governs identity tests on unit-scale
-data and FEAS_TOL containment slack.
+Coordinates are plain floats; the tolerances live in `numerics`.
 """
 
 from __future__ import annotations
@@ -20,9 +19,10 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DimMismatch, EmptyInput, SingularMap
+from .numerics import (BASIS_TOL, COLLINEAR_TOL, EPS_GEOM, FACET_MERGE_TOL, FEAS_TOL, MERGE_TOL,
+                       NORM_FLOOR, NORMAL_RANK_TOL, QHULL_JOGGLE, SINGULAR_DET, VERTEX_MERGE_TOL,
+                       scale_of)
 
-EPS_GEOM = 1e-9
-FEAS_TOL = 1e-7
 MAX_DIM = 3
 
 
@@ -89,7 +89,7 @@ def _snap_columns(pts: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
-def _affine_chart(pts: np.ndarray, tol: float = EPS_GEOM):
+def _affine_chart(pts: np.ndarray):
     """Origin, orthonormal basis and rank of the affine hull of `pts`.
 
     Full-dimensional point sets get the identity chart so that coordinates
@@ -101,8 +101,7 @@ def _affine_chart(pts: np.ndarray, tol: float = EPS_GEOM):
     if len(pts) == 1:
         return origin, np.zeros((n, 0)), 0
     _, s, vt = np.linalg.svd(centered, full_matrices=True)
-    scale = max(1.0, s[0] if len(s) else 1.0)
-    rank = int(np.sum(s > tol * scale))
+    rank = int(np.sum(s > EPS_GEOM * scale_of(s)))
     if rank == n:
         return np.zeros(n), np.eye(n), n
     return origin, vt[:rank].T, rank
@@ -115,8 +114,8 @@ def _hull_1d(z: np.ndarray) -> np.ndarray:
 
 def _hull_2d(z: np.ndarray) -> np.ndarray:
     """Monotone chain; strictly convex corners only (collinear points dropped)."""
-    scale = max(1.0, float(np.abs(z).max()))
-    tol = 1e-10 * scale * scale
+    scale = scale_of(z)
+    tol = COLLINEAR_TOL * scale * scale
     order = np.lexsort((z[:, 1], z[:, 0]))
     pts = z[order]
 
@@ -138,22 +137,27 @@ def _hull_2d(z: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def _hull_3d(z: np.ndarray) -> np.ndarray:
+def _qhull(points: np.ndarray) -> ConvexHull:
+    """Qhull of the points, retried with joggle when exact arithmetic fails."""
     try:
-        hull = ConvexHull(z)
+        return ConvexHull(points)
     except QhullError:
-        hull = ConvexHull(z, qhull_options="QJ1e-12")
+        return ConvexHull(points, qhull_options=QHULL_JOGGLE)
+
+
+def _hull_3d(z: np.ndarray) -> np.ndarray:
+    hull = _qhull(z)
     verts = z[hull.vertices]
     # solve noise can leave a point an ulp outside a face, which Qhull then
     # reports as a vertex; a real vertex is tight on facets whose normals
     # span the space
     eqs = hull.equations
-    scale = max(1.0, float(np.abs(z).max()))
+    scale = scale_of(z)
     keep = []
     for i, v in enumerate(verts):
-        tight = np.abs(eqs[:, :-1] @ v + eqs[:, -1]) <= 1e-9 * scale
+        tight = np.abs(eqs[:, :-1] @ v + eqs[:, -1]) <= EPS_GEOM * scale
         if np.count_nonzero(tight) >= 3 and np.linalg.matrix_rank(
-                eqs[tight, :-1], tol=1e-7) == 3:
+                eqs[tight, :-1], tol=NORMAL_RANK_TOL) == 3:
             keep.append(i)
     return verts[keep] if keep else verts
 
@@ -251,7 +255,7 @@ class Polytope:
             b = np.einsum("ij,ij->i", A, ordered)
             return _unit_rows(A, b)
         hull = ConvexHull(z)
-        eqs = hull.equations[near_duplicate_leaders(hull.equations, 1e-9)[0]]
+        eqs = hull.equations[near_duplicate_leaders(hull.equations, FACET_MERGE_TOL)[0]]
         return _unit_rows(eqs[:, :-1], -eqs[:, -1])
 
     @cached_property
@@ -283,22 +287,26 @@ class Polytope:
             return float(np.max(np.abs(x - self.vertices[0])))
         return float(np.max(A @ x - b))
 
+    def boundary_distances(self, X: np.ndarray) -> np.ndarray:
+        """`boundary_distance` of each row of X in one product."""
+        A, b = self.halfspaces
+        if len(A) == 0:
+            return np.max(np.abs(X - self.vertices[0]), axis=1)
+        return np.max(X @ A.T - b, axis=1)
+
     def contains(self, x, tol: float = FEAS_TOL) -> bool:
         return self.boundary_distance(x) <= tol
 
     def contains_many(self, X: np.ndarray, tol: float = FEAS_TOL) -> np.ndarray:
-        A, b = self.halfspaces
-        if len(A) == 0:
-            return np.max(np.abs(X - self.vertices[0]), axis=1) <= tol
-        return np.max(X @ A.T - b, axis=1) <= tol
+        return self.boundary_distances(X) <= tol
 
-    def normal_cone_generators(self, x, tol: float = FEAS_TOL) -> np.ndarray:
+    def normal_cone_generators(self, x) -> np.ndarray:
         """Outer normals of facets tight at x (empty at interior points)."""
         x = np.asarray(x, dtype=float)
         A, b = self.halfspaces
         if len(A) == 0:
             return np.eye(self.dim).repeat(2, axis=0) * np.array([1, -1] * self.dim)[:, None]
-        tight = np.abs(A @ x - b) <= tol * max(1.0, float(np.abs(b).max(initial=1.0)))
+        tight = np.abs(A @ x - b) <= FEAS_TOL * scale_of(b)
         return A[tight]
 
     # -- measures ------------------------------------------------------------
@@ -321,21 +329,17 @@ class Polytope:
     def translate(self, y) -> "Polytope":
         return Polytope(self.vertices + np.asarray(y, dtype=float))
 
-    def scale(self, t: float) -> "Polytope":
-        return Polytope(self.vertices * float(t))
-
     def shrink(self, factor: float) -> "Polytope":
         """Contract toward the barycenter; factor in (0, 1]."""
         c = self.barycenter
         return Polytope(c + factor * (self.vertices - c))
 
-    def grid_points(self, per_axis: int, margin: float = 0.0) -> np.ndarray:
+    def grid_points(self, per_axis: int) -> np.ndarray:
         """Axis-aligned grid over the bounding box, clipped to the polytope."""
         lo, hi = self.bbox
         axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(self.dim)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
-        mask = np.array([self.boundary_distance(p) <= -margin + FEAS_TOL for p in mesh])
-        return mesh[mask]
+        return mesh[self.contains_many(mesh)]
 
     def __repr__(self):
         return f"Polytope(dim={self.dim}, nverts={len(self.vertices)}, vol={self.volume:.6g})"
@@ -360,9 +364,9 @@ def hull(points) -> Polytope:
         raise EmptyInput("hull of no points")
     if not np.all(np.isfinite(pts)):
         raise ValueError("non-finite vertex coordinates")
-    scale = max(1.0, float(np.abs(pts).max()))
-    pts = _snap_columns(pts, 1e-10 * scale)
-    pts = pts[near_duplicate_leaders(pts, 1e-10 * scale)[0]]
+    tol = MERGE_TOL * scale_of(pts)
+    pts = _snap_columns(pts, tol)
+    pts = pts[near_duplicate_leaders(pts, tol)[0]]
     n = pts.shape[1]
     origin, basis, d = _affine_chart(pts)
     if d == n:
@@ -412,8 +416,8 @@ def vertices_from_halfspaces(A: np.ndarray, b: np.ndarray, dim: int) -> np.ndarr
     combos = np.array(list(itertools.combinations(range(m), dim)))
     mats = A[combos]
     dets = np.abs(np.linalg.det(mats))
-    row_scale = np.maximum(np.linalg.norm(mats, axis=2).prod(axis=1), 1e-30)
-    ok = dets > 1e-10 * row_scale
+    row_scale = np.maximum(np.linalg.norm(mats, axis=2).prod(axis=1), NORM_FLOOR)
+    ok = dets > BASIS_TOL * row_scale
     if not np.any(ok):
         return np.zeros((0, dim))
     sols = np.linalg.solve(mats[ok], b[combos[ok]][..., None])[..., 0]
@@ -423,7 +427,7 @@ def vertices_from_halfspaces(A: np.ndarray, b: np.ndarray, dim: int) -> np.ndarr
     if len(pts) == 0:
         return np.zeros((0, dim))
     pts = _lex_sorted(pts)
-    return pts[near_duplicate_leaders(pts, 1e-7 * max(1.0, float(np.abs(pts).max())))[0]]
+    return pts[near_duplicate_leaders(pts, VERTEX_MERGE_TOL * scale_of(pts))[0]]
 
 
 def halfspaces_bounded(A: np.ndarray) -> bool:
@@ -464,7 +468,7 @@ def intersect(P: Polytope, Q: Polytope) -> Polytope | None:
 
 
 def affine_image(P: Polytope, m: "AffineMap") -> Polytope:
-    if abs(m.det) < 1e-12:
+    if abs(m.det) < SINGULAR_DET:
         raise SingularMap(f"|det| = {abs(m.det):.3e}")
     return hull(m.apply(P.vertices))
 
@@ -499,8 +503,7 @@ def halfspace_cut(P: Polytope, a, beta: float) -> Polytope | None:
 def vertex_sets_equal(P: Polytope, Q: Polytope, tol: float = EPS_GEOM) -> bool:
     if P.dim != Q.dim or len(P.vertices) != len(Q.vertices):
         return False
-    scale = max(1.0, float(np.abs(P.vertices).max()), float(np.abs(Q.vertices).max()))
-    return bool(np.max(np.abs(P.vertices - Q.vertices)) <= tol * scale)
+    return bool(np.max(np.abs(P.vertices - Q.vertices)) <= tol * scale_of(P.vertices, Q.vertices))
 
 
 # -- affine maps ----------------------------------------------------------------
@@ -531,12 +534,6 @@ class AffineMap:
         pts = _as_point_array(pts)
         return pts @ self.matrix.T + self.shift
 
-    def inverse(self) -> "AffineMap":
-        if abs(self.det) < 1e-12:
-            raise SingularMap("cannot invert")
-        inv = np.linalg.inv(self.matrix)
-        return AffineMap(inv, -inv @ self.shift)
-
     @staticmethod
     def identity(n: int) -> "AffineMap":
         return AffineMap(np.eye(n), np.zeros(n))
@@ -546,5 +543,5 @@ class AffineMap:
         y = np.asarray(y, dtype=float)
         return AffineMap(np.eye(len(y)), y)
 
-    def is_unimodular(self, tol: float = 1e-9) -> bool:
-        return abs(abs(self.det) - 1.0) <= tol
+    def is_unimodular(self) -> bool:
+        return abs(abs(self.det) - 1.0) <= EPS_GEOM

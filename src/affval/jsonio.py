@@ -75,6 +75,49 @@ def dumps(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
+# readers of outside input: each raises BadInput naming the JSON path
+
+
+def _check_type(value, kind: type, path: str):
+    if not isinstance(value, kind):
+        raise BadInput(f"{path} is not {'an object' if kind is dict else 'a list'}")
+    return value
+
+
+def _field(d, path: str):
+    """The member that `path` names, its last key looked up in d."""
+    parent, _, key = path.rpartition(".")
+    if key not in _check_type(d, dict, parent or "the function"):
+        raise BadInput(f"{path} is missing")
+    return d[key]
+
+
+def _number(d, path: str) -> float:
+    try:
+        return float(_field(d, path))
+    except (TypeError, ValueError):
+        raise BadInput(f"{path} is not a number") from None
+
+
+def _floats(value, path: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise BadInput(f"{path} is not a numeric array") from None
+
+
+def _array(d, path: str, shape: tuple) -> np.ndarray:
+    """The member that `path` names as a float array of the given shape."""
+    arr = _floats(_field(d, path), path)
+    if arr.ndim == 0:
+        # a bare number stands for a 1-vector or a 1x1 matrix
+        arr = arr.reshape((1,) * len(shape))
+    if arr.shape != shape:
+        raise BadInput(f"{path} has shape {list(arr.shape)}, expected {list(shape)}")
+    return arr
+
+
+# ---------------------------------------------------------------------------
 # polytopes
 
 
@@ -83,16 +126,27 @@ def polytope_to_dict(P: Polytope) -> dict:
 
 
 def polytope_from_dict(d: dict) -> Polytope:
+    return _polytope(d, "polytope")
+
+
+def _polytope(d, path: str) -> Polytope:
+    _check_type(d, dict, path)
     if "vertices" in d and d["vertices"]:
-        verts = np.asarray(d["vertices"], dtype=float)
+        verts = _floats(d["vertices"], f"{path}.vertices")
         if verts.ndim == 1:
             verts = verts[:, None]
+        if verts.ndim != 2:
+            raise BadInput(f"{path}.vertices is not a list of points")
         return hull(verts)
     if "halfspaces" in d:
-        rows = d["halfspaces"]
-        A = np.array([r["normal"] for r in rows], dtype=float)
-        b = np.array([r["offset"] for r in rows], dtype=float)
-        dim = int(d.get("dim", A.shape[-1]))
+        rows = _check_type(d["halfspaces"], list, f"{path}.halfspaces")
+        paths = [f"{path}.halfspaces[{i}]" for i in range(len(rows))]
+        A = _floats([_field(r, f"{p}.normal") for r, p in zip(rows, paths)], f"{path}.halfspaces")
+        b = np.array([_number(r, f"{p}.offset") for r, p in zip(rows, paths)])
+        try:
+            dim = int(d.get("dim", A.shape[-1]))
+        except (TypeError, ValueError, OverflowError):
+            raise BadInput(f"{path}.dim is not an integer") from None
         if A.ndim != 2 or A.shape[1] != dim:
             raise BadInput(f"halfspace normals must be {dim}-vectors")
         if not halfspaces_bounded(A):
@@ -102,7 +156,7 @@ def polytope_from_dict(d: dict) -> Polytope:
         if P is None:
             raise BadInput("halfspace description is empty")
         return P
-    raise BadInput("polytope needs 'vertices' or 'halfspaces'")
+    raise BadInput(f"{path} needs 'vertices' or 'halfspaces'")
 
 
 # ---------------------------------------------------------------------------
@@ -136,41 +190,27 @@ def function_to_dict(u: ConvexFn) -> dict:
     raise BadInput(f"cannot serialize {type(u).__name__}")
 
 
-def _array(value, shape: tuple, path: str) -> np.ndarray:
-    """`value` as a float array of the given shape; BadInput naming the JSON
-    path otherwise."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise BadInput(f"{path} is not a numeric array") from None
-    if arr.ndim == 0:
-        # a bare number stands for a 1-vector or a 1x1 matrix
-        arr = arr.reshape((1,) * len(shape))
-    if arr.shape != shape:
-        raise BadInput(f"{path} has shape {list(arr.shape)}, expected {list(shape)}")
-    return arr
-
-
 def function_from_dict(d: dict) -> ConvexFn:
-    kind = d.get("type")
+    kind = _check_type(d, dict, "the function").get("type")
     if kind == "indicator":
-        return PAFn.indicator(polytope_from_dict(d["domain"]))
+        return PAFn.indicator(_polytope(_field(d, "domain"), "domain"))
     if kind == "pa":
         dom = d.get("domain")
-        dom = None if dom is None else polytope_from_dict(dom)
+        dom = None if dom is None else _polytope(dom, "domain")
+        pieces = _check_type(_field(d, "pieces"), list, "pieces")
         # the domain, or else the first piece, fixes the dimension
-        first = d["pieces"][0]["grad"] if d["pieces"] else []
-        n = dom.dim if dom is not None else np.size(first)
-        pieces = [AffineFn(_array(p["grad"], (n,), f"pieces[{i}].grad"), float(p["c"]))
-                  for i, p in enumerate(d["pieces"])]
+        first = _field(pieces[0], "pieces[0].grad") if pieces else []
+        n = dom.dim if dom is not None else _floats(first, "pieces[0].grad").size
+        pieces = [AffineFn(_array(p, f"pieces[{i}].grad", (n,)), _number(p, f"pieces[{i}].c"))
+                  for i, p in enumerate(pieces)]
         return PAFn(pieces, dom, is_cylinder=bool(d.get("cylinder", False)))
     if kind == "plq":
         cells = []
-        for i, c in enumerate(d["cells"]):
-            P = polytope_from_dict(c["poly"])
-            cells.append((P, QuadraticFn(_array(c["A"], (P.dim, P.dim), f"cells[{i}].A"),
-                                         _array(c["b"], (P.dim,), f"cells[{i}].b"),
-                                         float(c["c"]))))
+        for i, c in enumerate(_check_type(_field(d, "cells"), list, "cells")):
+            P = _polytope(_field(c, f"cells[{i}].poly"), f"cells[{i}].poly")
+            cells.append((P, QuadraticFn(_array(c, f"cells[{i}].A", (P.dim, P.dim)),
+                                         _array(c, f"cells[{i}].b", (P.dim,)),
+                                         _number(c, f"cells[{i}].c"))))
         return certify_plq(cells)
     raise BadInput(f"unknown function type {kind!r}")
 

@@ -21,6 +21,7 @@ from scipy.interpolate import LinearNDInterpolator
 from .errors import NotFiniteValued
 from .funcs import PAFn, _dedupe_pieces, lower_facets
 from .geometry import _affine_chart, hull, near_duplicate_leaders
+from .numerics import ATOM_MERGE_TOL, EPS_GEOM, MASS_TOL, WEAK_PROBE_TOL, scale_of
 from .report import CheckReport
 
 
@@ -38,16 +39,16 @@ class MAMeasure:
         """Integral of a function given as a callable on atom locations."""
         return float(sum(m * float(beta(x)) for x, m in self.atoms))
 
-    def masses_split_by_hyperplane(self, a, beta: float, tol: float = 1e-9):
+    def masses_split_by_hyperplane(self, a, beta: float):
         """(mass strictly below, mass on, mass strictly above) the hyperplane
         <a, x> = beta; every atom lands in exactly one bucket."""
         a = np.asarray(a, dtype=float)
         below = on = above = 0.0
         for x, m in self.atoms:
             s = float(a @ x - beta)
-            if s < -tol:
+            if s < -EPS_GEOM:
                 below += m
-            elif s > tol:
+            elif s > EPS_GEOM:
                 above += m
             else:
                 on += m
@@ -70,10 +71,11 @@ def monge_ampere_pa(v: PAFn) -> MAMeasure:
         edges = G[simplices[:, 1:]] - G[simplices[:, :1]]
         vols = np.abs(np.linalg.det(edges)) / math.factorial(n)
     # each atom's own scale: one far vertex must not merge the atoms near 0
-    keep, group = near_duplicate_leaders(slopes, 1e-7 * np.maximum(1.0, np.abs(slopes).max(axis=1)))
+    keep, group = near_duplicate_leaders(
+        slopes, ATOM_MERGE_TOL * np.maximum(1.0, np.abs(slopes).max(axis=1)))
     masses = np.bincount(group, weights=vols, minlength=len(keep))
-    scale = max(1.0, float(np.abs(G).max()), float(np.abs(c).max()))
-    atoms = [(slopes[i], float(m)) for i, m in zip(keep, masses) if m > 1e-12 * scale ** n]
+    floor = MASS_TOL * scale_of(G, c) ** n
+    atoms = [(slopes[i], float(m)) for i, m in zip(keep, masses) if m > floor]
     atoms.sort(key=lambda a: tuple(a[0]))
     return MAMeasure(tuple(atoms))
 
@@ -112,7 +114,7 @@ def ma_weak_probe(v_seq, v: PAFn, testfns, support_box=None) -> list[CheckReport
             CheckReport(
                 f"weak_convergence_testfn_{ti}",
                 gap,
-                1e-6 * scale,
+                WEAK_PROBE_TOL * scale,
                 witnesses=tuple(values) + (target,),
             )
         )

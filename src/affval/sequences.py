@@ -26,6 +26,8 @@ from .funcs import (
     subdifferential,
 )
 from .geometry import AffineMap, Polytope, box, cube
+from .numerics import (CURVATURE_MIN, FD_STEP_PATCH, GRID_INSET, INTERIOR_MARGIN, PATCH_EXCESS_TOL,
+                       PATCH_SLACK, TANGENCY_TOL, TAU_GAP_TOL, USC_TOL, scale_of)
 from .report import CheckReport
 from .transforms import EnvelopeFn, envelope_eval, inf_conv_pa, separable_clip_plq
 from .valuations import ConcFn, Valuation, _fd_hessians, _hessian_stencil, apply
@@ -50,10 +52,10 @@ def pa_approximate(u: ConvexFn, k: int) -> PAFn:
     if dom is None or dom.is_degenerate:
         raise DegenerateDomain("PA approximation needs a full-dimensional domain")
     lo, hi = dom.bbox
-    eps = 1e-7 * dom.diameter
+    eps = GRID_INSET * dom.diameter
     axes = [np.linspace(lo[i] + eps, hi[i] - eps, k) for i in range(dom.dim)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dom.dim)
-    pts = mesh[[dom.boundary_distance(p) < -eps / 2 for p in mesh]]
+    pts = mesh[dom.boundary_distances(mesh) < -eps / 2]
     if len(pts) == 0:
         pts = dom.barycenter[None, :]
     pieces = []
@@ -104,11 +106,11 @@ def _function_lipschitz(u: ConvexFn) -> float:
     return lipschitz_constant(u)
 
 
-def tau_probe(u_seq, u: ConvexFn, compacts=None, gap_tolerance: float = 1e-3,
-              lipschitz_bound: float | None = None, per_axis: int = 9) -> TauProbe:
+def tau_probe(u_seq, u: ConvexFn, compacts=None, lipschitz_bound: float | None = None,
+              per_axis: int = 9) -> TauProbe:
     """Sup-gaps of a sequence to its limit on interior compacts, together with
     per-member Lipschitz estimates; the sequence is tau-consistent when the
-    final gaps drop below tolerance and the Lipschitz values stay bounded."""
+    final gaps drop below TAU_GAP_TOL and the Lipschitz values stay bounded."""
     if compacts is None:
         compacts = [u.domain.shrink(0.95)]
     sample_sets = []
@@ -132,7 +134,7 @@ def tau_probe(u_seq, u: ConvexFn, compacts=None, gap_tolerance: float = 1e-3,
         gaps.append(tuple(row))
         lips.append(_function_lipschitz(uk))
     return TauProbe(tuple(compacts), float(lipschitz_bound), tuple(gaps),
-                    tuple(lips), float(gap_tolerance))
+                    tuple(lips), TAU_GAP_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +210,21 @@ def staircase_sequence(spec: StaircaseSpec) -> PLQFn:
               - h2 * y_prev)
         return quad(a, r / a, h2, h3)
 
-    # tangency assertions: values and x2-gradients agree at both matching
-    # heights of every steep piece
+    # tangency: values and x2-gradients agree at both matching heights of
+    # every steep piece, up to rounding in the largest summand compared
     for i in range(1, m + 1):
         mid = 0.5 * (eta[i - 1] + eta[i])
         for y, j in ((mid - 0.5 * lam * delta, i - 1), (mid + 0.5 * lam * delta, i)):
             qs, qr = shallow(j), steep(i)
             pt = np.concatenate([[t1, y], np.zeros(extra)])
-            assert abs(qs(pt) - qr(pt)) < 1e-10 * (1 + abs(qs(pt)))
-            assert abs(qs.gradient(pt)[1] - qr.gradient(pt)[1]) < 1e-10
+            value_gap = abs(qs(pt) - qr(pt))
+            slope_gap = abs(qs.gradient(pt)[1] - qr.gradient(pt)[1])
+            value_terms = [(0.5 * pt @ q.A @ pt, q.b @ pt, q.c) for q in (qs, qr)]
+            slope_terms = [(q.A[1] @ pt, q.b[1]) for q in (qs, qr)]
+            if (value_gap > TANGENCY_TOL * scale_of(value_terms)
+                    or slope_gap > TANGENCY_TOL * scale_of(slope_terms)):
+                raise BadParameter(f"staircase pieces do not match at x2 = {y:.6g}; "
+                                   f"the spec is too ill-conditioned")
 
     cuts = [-t2]
     quads = []
@@ -319,7 +327,7 @@ def zonotope_segment_approx(mu: float, m: int) -> ZonotopeApprox:
 def patch_smallness_bound(rho: float, lam: float, n: int, zeta: ConcFn) -> float:
     """Largest admissible sharpening parameter t for the touching patch so
     that the slack rho controls both volume-ratio estimates; always < 1/16."""
-    cap = 1.0 / 16.0 - 1e-12
+    cap = 1.0 / 16.0 - PATCH_SLACK
     z = float(zeta(2.0 ** n * lam ** n))
     if z <= 0.0:
         return cap
@@ -342,19 +350,19 @@ def touching_patch(env: EnvelopeFn, x0, t: float, r: float, lc: PAFn) -> PLQFn:
     n = env.dim
     if not 0.0 < t < 1.0 / 16.0:
         raise BadParameter(f"t must lie in (0, 1/16), got {t}")
-    if env.domain.boundary_distance(x0) > -1e-9:
+    if env.domain.boundary_distance(x0) > -INTERIOR_MARGIN:
         raise BadParameter("x0 must be interior to the envelope domain")
-    h = 1e-5 * max(1.0, env.domain.diameter)
+    h = FD_STEP_PATCH * scale_of(env.domain.diameter)
     hess = _fd_hessians(env.eval_many(x0 + _hessian_stencil(n, h))[None, :], n, h)[0]
     min_eig = float(np.linalg.eigvalsh(hess).min())
-    if min_eig <= 0.01 * env.lam:
+    if min_eig <= CURVATURE_MIN * env.lam:
         raise BadParameter(
             f"envelope curvature at x0 is degenerate (min eigenvalue "
             f"{min_eig:.3e}); the quadratic patch needs a positive definite point")
     probe = np.vstack([env.domain.grid_points(9), env.domain.vertices])
     ev = env.eval_many(probe)
     lv = lc.eval_many(probe)
-    if not np.all(lv < ev + 1e-12):
+    if not np.all(lv < ev + PATCH_SLACK):
         raise BadParameter("the minorant must lie strictly below the envelope")
     value, y0, _ = envelope_eval(env, x0)
     lam = env.lam
@@ -372,7 +380,7 @@ def touching_patch(env: EnvelopeFn, x0, t: float, r: float, lc: PAFn) -> PLQFn:
     core_pts = np.vstack([rbox.grid_points(7), rbox.vertices])
     pv = patch.eval_many(core_pts)
     lv2 = lc.eval_many(core_pts)
-    if not np.all(lv2 <= pv + 1e-12):
+    if not np.all(lv2 <= pv + PATCH_SLACK):
         raise BadParameter("the minorant crosses the patch inside the r-box")
     # the patch may exceed the envelope only inside the r-box
     inside_env = env.domain.contains_many(probe)
@@ -387,7 +395,7 @@ def touching_patch(env: EnvelopeFn, x0, t: float, r: float, lc: PAFn) -> PLQFn:
         ).translate(x0).plus_affine(tangent)
         vr = np.maximum(ext_big.eval_many(probe[sel]), lc.eval_many(probe[sel]))
         excess = float((vr - ev[sel]).max())
-        if excess > 1e-9 * (1.0 + float(np.abs(ev[sel]).max())):
+        if excess > PATCH_EXCESS_TOL * (1.0 + float(np.abs(ev[sel]).max())):
             raise BadParameter(
                 f"patch exceeds the envelope outside the r-box by {excess:.3e}")
     return certify_plq(patch.cells, domain=rbox)
@@ -413,8 +421,7 @@ def anisotropic_scaling(t: float, axis: int, n: int) -> AffineMap:
 # upper-semicontinuity experiment
 
 
-def usc_experiment(Z: Valuation, seq, limit: ConvexFn,
-                   tolerance: float = 1e-9) -> CheckReport:
+def usc_experiment(Z: Valuation, seq, limit: ConvexFn) -> CheckReport:
     """Finite-horizon evidence for Z(limit) >= limsup Z(u_k): evaluates the
     sequence, takes the max of the tail values and reports the gap."""
     values = [apply(Z, uk) for uk in seq]
@@ -424,7 +431,7 @@ def usc_experiment(Z: Valuation, seq, limit: ConvexFn,
     return CheckReport(
         "usc_gap",
         max(0.0, -gap),
-        tolerance,
+        USC_TOL,
         witnesses=tuple(values) + (z_limit,),
         note=f"gap={gap:.6g}",
     )

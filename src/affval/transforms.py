@@ -41,7 +41,8 @@ from .funcs import (
     certify_plq,
     lower_hull_pieces,
 )
-from .geometry import EPS_GEOM, AffineMap, Polytope, cube, hull, intersect, minkowski_sum
+from .geometry import AffineMap, Polytope, cube, hull, intersect, minkowski_sum
+from .numerics import BBOX_SLACK, CONJ_CHECK_TOL, EPS_GEOM, QP_FEAS_TOL, THIN_CELL_TOL, scale_of
 from .report import CheckReport
 
 
@@ -111,7 +112,7 @@ def min_quadratic_over_polytope(H, f, A, b):
     m = len(A)
     try:
         y0 = np.linalg.solve(H, -f)
-        if np.all(A @ y0 - b <= 1e-9 * max(1.0, float(np.abs(y0).max()))):
+        if np.all(A @ y0 - b <= QP_FEAS_TOL * scale_of(y0)):
             return float(0.5 * y0 @ H @ y0 + f @ y0), y0
     except np.linalg.LinAlgError:
         pass
@@ -128,7 +129,7 @@ def min_quadratic_over_polytope(H, f, A, b):
             y = sol[:n]
             if not np.all(np.isfinite(y)):
                 continue
-            if np.all(A @ y - b <= 1e-9 * max(1.0, float(np.abs(y).max()))):
+            if np.all(A @ y - b <= QP_FEAS_TOL * scale_of(y)):
                 val = float(0.5 * y @ H @ y + f @ y)
                 if val < best_val:
                     best_val, best_y = val, y
@@ -175,7 +176,7 @@ class EnvelopeFn(ConvexFn):
         for P, q in self._cells:
             # skip cells out of reach of the mu-box around x
             lo, hi = P.bbox
-            if np.any(lo > x + self.mu + 1e-12) or np.any(hi < x - self.mu - 1e-12):
+            if np.any(lo > x + self.mu + BBOX_SLACK) or np.any(hi < x - self.mu - BBOX_SLACK):
                 continue
             A_c, b_c = P.halfspaces
             A = np.vstack([A_c, box_A])
@@ -275,7 +276,7 @@ def separable_clip_plq(coeffs, lin, const, lo, hi, window: Polytope) -> PLQFn:
                 cap = lo[i] if tag == "lo" else hi[i]
                 b[i] += coeffs[i] * cap
                 c -= 0.5 * coeffs[i] * cap * cap
-        if np.any(bhi - blo <= 1e-12):
+        if np.any(bhi - blo <= THIN_CELL_TOL):
             continue
         cells.append((geometry.box(blo, bhi), QuadraticFn(A, b, c)))
     return certify_plq(cells, domain=geometry.box(wlo, whi))
@@ -319,7 +320,7 @@ def _is_axis_box(K: Polytope) -> bool:
     if K.is_degenerate or len(K.vertices) != 2 ** K.dim:
         return False
     lo, hi = K.bbox
-    return abs(K.volume - float(np.prod(hi - lo))) <= 1e-9 * (1.0 + K.volume)
+    return abs(K.volume - float(np.prod(hi - lo))) <= EPS_GEOM * (1.0 + K.volume)
 
 
 def tangential_extension(w: ConvexFn, K: Polytope, window: Polytope | None = None) -> ConvexFn:
@@ -367,7 +368,7 @@ def conjugate_identities_check(u: PAFn, y, c: float, phi: AffineMap) -> list[Che
 
     reports = []
     scale = 1.0 + float(np.abs(us.eval_many(grid)).max())
-    tol = 1e-7 * scale
+    tol = CONJ_CHECK_TOL * scale
 
     lhs = legendre_pa(u.plus_const(c))
     reports.append(CheckReport("conjugate_of_vertical_shift", sup_gap(lhs, us.plus_const(-c)), tol))

@@ -24,11 +24,9 @@ from . import geometry
 from .errors import BadInput, BadParameter, BadTransform, EvalError, NotAValuation, NotConc, NotConvex
 from .funcs import ConvexFn, PAFn, PLQFn, QuadFn, QuadraticFn, join, meet
 from .geometry import AffineMap, Polytope, box, cube
+from .numerics import (FD_STEP_QUADRATURE, TAIL_EXPONENT_MAX, TAIL_SLOPE_MAX, TAIL_T,
+                       VALUATION_TOL, ZETA_SIGN_TOL, ZETA_TOL)
 from .report import CheckReport
-
-TAIL_T = 1e6
-TAIL_SLOPE_MAX = 1e-3      # absolute tail-slope acceptance at t = TAIL_T
-TAIL_EXPONENT_MAX = 0.98   # otherwise the log-log growth rate must be sublinear
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +101,9 @@ def validate_conc(evaluator, kind: str = "custom", params: tuple = ()) -> ConcFn
         raise NotConc("non-finite weight values on the validation grid")
     scale = 1.0 + float(np.abs(vals).max())
     at_zero = abs(float(vals[0]))
-    if at_zero > 1e-9 * scale:
+    if at_zero > ZETA_TOL * scale:
         raise NotConc(f"value at 0 is {vals[0]:.3e}, expected 0")
-    if vals.min() < -1e-12 * scale:
+    if vals.min() < -ZETA_SIGN_TOL * scale:
         t_bad = grid[int(np.argmin(vals))]
         raise NotConc(f"negative value at t = {t_bad:.3e}")
     i, j = np.triu_indices(len(grid), k=1)
@@ -113,7 +111,7 @@ def validate_conc(evaluator, kind: str = "custom", params: tuple = ()) -> ConcFn
     mid_vals = np.asarray(evaluator(mids), dtype=float)
     resid = 0.5 * (vals[i] + vals[j]) - mid_vals
     worst = float(resid.max())
-    if worst > 1e-9 * scale:
+    if worst > ZETA_TOL * scale:
         t_bad = mids[int(np.argmax(resid))]
         raise NotConc(f"midpoint concavity fails by {worst:.3e} near t = {t_bad:.3e}")
     tail = float(vals[-1] / grid[-1])
@@ -159,26 +157,16 @@ def zeta_dual(zeta: ConcFn) -> ConcFn:
 
 def z_zeta(u: ConvexFn, zeta: ConcFn, grid: int | None = None) -> float:
     """Z_zeta(u), exact on cell representations and by quadrature otherwise."""
-    if u.is_cylinder:
-        return 0.0
-    if u.domain is None:
+    if u.domain is None and not u.is_cylinder:
         raise BadInput("Z_zeta needs a compact domain")
-    if u.domain.is_degenerate:
-        return 0.0
-    if isinstance(u, PAFn):
-        return 0.0
-    if isinstance(u, QuadFn):
-        return float(zeta(max(u.q.det_hessian, 0.0)) * u.domain.volume)
-    if isinstance(u, PLQFn):
+    if u.is_cylinder or isinstance(u, (PAFn, QuadFn, PLQFn)):
         return z_zeta_plq(u, zeta)
     return z_zeta_numeric(u, u.domain, zeta, grid=grid)
 
 
 def z_zeta_plq(u: ConvexFn, zeta: ConcFn) -> float:
     """Closed form: sum over cells of zeta(det Hessian) * cell volume."""
-    if u.is_cylinder or (u.domain is not None and u.domain.is_degenerate):
-        return 0.0
-    if isinstance(u, PAFn):
+    if u.is_cylinder or isinstance(u, PAFn) or (u.domain is not None and u.domain.is_degenerate):
         return 0.0
     if isinstance(u, QuadFn):
         u = u.as_plq()
@@ -222,12 +210,11 @@ def _fd_hessians(f_vals: np.ndarray, n: int, h: float) -> np.ndarray:
     return H
 
 
-def z_zeta_numeric(f, dom: Polytope, zeta: ConcFn, grid: int | None = None,
-                   h: float | None = None) -> float:
+def z_zeta_numeric(f, dom: Polytope, zeta: ConcFn, grid: int | None = None) -> float:
     """Midpoint quadrature of zeta(det Hessian) over the domain.
 
-    Hessians use central differences with step h (default 1e-4 of the domain
-    diameter).  Cells crossing the boundary are clipped to their exact
+    Hessians use central differences with step h = FD_STEP_QUADRATURE times
+    the domain diameter.  Cells crossing the boundary are clipped to their exact
     intersection volume; midpoints within 2h of the boundary take the
     integrand of the nearest safe interior midpoint.
 
@@ -242,8 +229,7 @@ def z_zeta_numeric(f, dom: Polytope, zeta: ConcFn, grid: int | None = None,
     n = dom.dim
     if grid is None:
         grid = 128 if n <= 2 else 32
-    if h is None:
-        h = 1e-4 * dom.diameter
+    h = FD_STEP_QUADRATURE * dom.diameter
     eval_many = f.eval_many if hasattr(f, "eval_many") else lambda X: np.asarray(f(X), dtype=float)
     lo, hi = dom.bbox
     delta = (hi - lo) / grid
@@ -251,7 +237,7 @@ def z_zeta_numeric(f, dom: Polytope, zeta: ConcFn, grid: int | None = None,
     axes = [lo[i] + delta[i] * (np.arange(grid) + 0.5) for i in range(n)]
     centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     A, b = dom.halfspaces
-    dist = (centers @ A.T - b).max(axis=1)
+    dist = dom.boundary_distances(centers)
     r_cell = 0.5 * float(np.linalg.norm(delta))
 
     weights = np.zeros(len(centers))
@@ -316,7 +302,7 @@ def valuation_identity_check(val: Valuation, u: ConvexFn, v: ConvexFn) -> CheckR
     """Residual of Z(min) + Z(max) = Z(u) + Z(v); pairs whose pointwise min
     is not convex are reported as skipped, not failed."""
     zu, zv = apply(val, u), apply(val, v)
-    tol = 1e-8 * (1.0 + abs(zu) + abs(zv))
+    tol = VALUATION_TOL * (1.0 + abs(zu) + abs(zv))
     try:
         m = meet(u, v)
     except NotConvex as exc:
@@ -347,7 +333,7 @@ def invariance_check(val: Valuation, u: ConvexFn, transform) -> CheckReport:
         raise BadParameter(f"unknown transform kind {kind!r}")
     z1 = apply(val, u)
     z2 = apply(val, u2)
-    return CheckReport(f"invariance_{kind}", abs(z2 - z1), 1e-8 * (1.0 + abs(z1)))
+    return CheckReport(f"invariance_{kind}", abs(z2 - z1), VALUATION_TOL * (1.0 + abs(z1)))
 
 
 def extract_zeta(blackbox, a_grid, dim: int) -> ConcFn:
@@ -366,7 +352,7 @@ def extract_zeta(blackbox, a_grid, dim: int) -> ConcFn:
         q = QuadraticFn(a * np.eye(dim), np.zeros(dim), 0.0)
         r1 = float(blackbox(QuadFn(q, C))) / C.volume
         r2 = float(blackbox(QuadFn(q, P2))) / P2.volume
-        if abs(r1 - r2) > 1e-8 * (1.0 + abs(r1)):
+        if abs(r1 - r2) > VALUATION_TOL * (1.0 + abs(r1)):
             raise NotAValuation(
                 f"ratio differs across domains at a = {a:g}: {r1:.12g} vs {r2:.12g}")
         samples.append((a ** dim, r1))

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affval import jsonio
 from affval.cli import _build_parser, main
@@ -161,6 +167,25 @@ TRIANGLE = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}
                                 "b": [0, 0, 0], "c": 0}]}, "cells[0].b"),
     ({"type": "pa", "pieces": [{"grad": [1, 0], "c": 0}, {"grad": [1], "c": 0}],
       "domain": TRIANGLE}, "pieces[1].grad"),
+    # malformed structure: each message names the JSON path
+    ([1, 2], "the function is not an object"),
+    ("pa", "the function is not an object"),
+    ({"type": "plq", "cells": None}, "cells is not a list"),
+    ({"type": "pa", "pieces": "abc"}, "pieces is not a list"),
+    ({"type": "pa", "pieces": [{"grad": [1, 0], "c": 0}], "domain": 5}, "domain is not an object"),
+    ({"type": "pa", "pieces": [{"grad": [1, 0], "c": [0]}], "domain": TRIANGLE},
+     "pieces[0].c is not a number"),
+    ({"type": "pa", "pieces": [{"grad": [1, 0]}], "domain": TRIANGLE}, "pieces[0].c is missing"),
+    ({"type": "indicator", "domain": {"dim": 2, "halfspaces": [{"normal": [1, 0]}]}},
+     "domain.halfspaces[0].offset is missing"),
+    ({"type": "pa", "pieces": [{"grad": [1, [0]], "c": 0}], "domain": None}, "pieces[0].grad"),
+    ({"type": "indicator", "domain": {"dim": 2, "vertices": [[0, 0], [1]]}}, "domain.vertices"),
+    ({"type": "plq", "cells": [{"poly": TRIANGLE, "A": [[1, 0], [0, 1]], "b": [0, 0]}]},
+     "cells[0].c is missing"),
+    ({"type": "pa", "pieces": [{"grad": [1], "c": 0}], "domain": None, "cylinder": True},
+     "compact domain"),
+    ({"type": "indicator", "domain": {"dim": float("inf"), "halfspaces": [
+        {"normal": [1], "offset": 1}, {"normal": [-1], "offset": 1}]}}, "domain.dim"),
 ])
 def test_cli_rejects_unbounded_or_misshapen_input(tmp_path, capsys, obj, message):
     f = write(tmp_path, "f.json", obj)
@@ -170,6 +195,22 @@ def test_cli_rejects_unbounded_or_misshapen_input(tmp_path, capsys, obj, message
 
 def test_cli_usage_error_exits_2():
     assert main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("spec, code", [
+    ("--a 1 --r 1e12 --m 3", 0),
+    ("--a 1e-9 --r 1 --m 5", 0),
+    ("--a 1 --r 2 --m 4 --t2 1e9", 2),   # the 2 x 2e9 box is flat at EPS_GEOM
+])
+def test_cli_construct_staircase_large_coefficients(capsys, spec, code):
+    # large coefficients cancel in the tangency values; a spec either builds
+    # or is rejected as input, never with a traceback
+    assert main(["construct", "staircase", "--s", "0"] + spec.split()) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads(captured.out)["type"] == "plq"
+    else:
+        assert captured.err.startswith("error: ")
 
 
 def test_cli_construct_staircase_roundtrip(tmp_path, capsys):
@@ -213,3 +254,81 @@ def test_cli_infconv(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["type"] == "indicator"
     assert out["domain"]["vertices"] == [[0], [3]]
+
+
+# -- structural fuzzing of function JSON ----------------------------------------
+
+INTS = st.integers(-2, 2)
+# one value of every JSON type, to stand in for a value of the wrong type
+JUNK = st.one_of(st.none(), st.booleans(), INTS, st.just("abc"), st.lists(INTS, max_size=2),
+                 st.just({}))
+
+
+def _vector(n):
+    return st.lists(INTS, min_size=n, max_size=n)
+
+
+def _polytope(n):
+    hull = st.lists(_vector(n), min_size=1, max_size=4).map(lambda v: {"dim": n, "vertices": v})
+    box = st.lists(st.integers(0, 2), min_size=2 * n, max_size=2 * n).map(lambda off: {
+        "dim": n, "halfspaces": [{"normal": [s if j == i else 0 for j in range(n)],
+                                  "offset": off[2 * i + (s < 0)]}
+                                 for i in range(n) for s in (1, -1)]})
+    return st.one_of(hull, box)
+
+
+def _function(n):
+    piece = st.fixed_dictionaries({"grad": _vector(n), "c": INTS})
+    cell = st.fixed_dictionaries({
+        "poly": _polytope(n), "b": _vector(n), "c": INTS,
+        "A": st.lists(st.integers(0, 2), min_size=n, max_size=n).map(
+            lambda d: [[d[i] if i == j else 0 for j in range(n)] for i in range(n)])})
+    return st.one_of(
+        st.fixed_dictionaries({"type": st.just("indicator"), "domain": _polytope(n)}),
+        st.fixed_dictionaries({"type": st.just("pa"), "domain": st.none() | _polytope(n),
+                               "pieces": st.lists(piece, min_size=1, max_size=3),
+                               "cylinder": st.booleans()}),
+        st.fixed_dictionaries({"type": st.just("plq"),
+                               "cells": st.lists(cell, min_size=1, max_size=2)}))
+
+
+@st.composite
+def _mutated(draw, value):
+    """`value` with members dropped and values swapped for JSON values of
+    another type, each with probability 1/10."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JUNK)
+    if isinstance(value, dict):
+        return {k: draw(_mutated(v)) for k, v in value.items() if draw(st.integers(0, 9))}
+    if isinstance(value, list):
+        return [draw(_mutated(v)) for v in value]
+    return value
+
+
+@st.composite
+def _documents(draw):
+    n = draw(st.integers(1, 2))
+    doc = draw(_function(n))
+    return n, draw(_mutated(doc)) if draw(st.booleans()) else doc
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_documents())
+def test_cli_function_json_fuzz(case):
+    # schema-shaped documents, half of them malformed: eval and zvalue exit
+    # 0 with JSON on stdout or 2 with a message, and never raise
+    n, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for argv in (["eval", path, "--point", ",".join(["0.5"] * n)],
+                     ["zvalue", path, "--zeta", "sqrt"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2), (argv, err.getvalue())
+            if code == 0:
+                json.loads(out.getvalue())
+            else:
+                assert err.getvalue().startswith("error: ")
