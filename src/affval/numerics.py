@@ -3,7 +3,9 @@
 Each constant is absolute, or relative to a stated scale.  The usual scale
 is `scale_of(data) = max(1, max |x|)`, so a relative tolerance is absolute on
 data below unit scale; check reports and certificates scale by `1 + |value|`
-instead, and print that product in their `tolerance` column.
+instead, and print that product in their `tolerance` column.  Pruning on a
+domain has no tolerance of its own: it keeps the pieces that own an activity
+cell, so the halfspace-enumeration and rank tolerances below decide it.
 """
 
 import numpy as np
@@ -37,7 +39,6 @@ NORMAL_RANK_TOL = 1e-7     # 3-d hull: rank of the tight unit facet normals; abs
 BASIS_TOL = 1e-10          # vertex enumeration: nonsingular basis; relative to its row-norm product
 NORM_FLOOR = 1e-30         # floor of that product, so a zero row never passes; absolute
 LOWER_FACET_TOL = 1e-10    # lower facet: last entry of the unit normal below -this; absolute
-ESSENTIAL_LP_TOL = 1e-11   # a piece is essential when its LP margin exceeds this; absolute
 QHULL_JOGGLE = "QJ1e-12"   # Qhull retry after an exact-arithmetic failure; joggle relative to data
 THIN_CELL_TOL = 1e-12      # separable_clip_plq skips boxes no wider on some axis; absolute
 

@@ -37,13 +37,6 @@ from .valuations import ConcFn, Valuation, _fd_hessians, _hessian_stencil, apply
 # PA approximation by supporting planes
 
 
-def _any_gradient(u: ConvexFn, x: np.ndarray) -> np.ndarray:
-    if isinstance(u, EnvelopeFn):
-        return u.gradient(x)
-    sd = subdifferential(u, x)
-    return sd.bounded_part.vertices[0]
-
-
 def pa_approximate(u: ConvexFn, k: int) -> PAFn:
     """Max of supporting affine planes of u at a k-per-axis interior grid,
     restricted to dom u.  The result is a pointwise minorant of u whose
@@ -64,7 +57,7 @@ def pa_approximate(u: ConvexFn, k: int) -> PAFn:
         val = u.evaluate(x)
         if not np.isfinite(val):
             continue
-        g = _any_gradient(u, x)
+        g = subdifferential(u, x).bounded_part.vertices[0]
         key = tuple(np.round(g, 12)) + (round(val - float(g @ x), 12),)
         if key in seen:
             continue
@@ -100,12 +93,6 @@ class TauProbe:
         object.__setattr__(self, "tau_consistent", final_ok and lip_ok)
 
 
-def _function_lipschitz(u: ConvexFn) -> float:
-    if isinstance(u, EnvelopeFn):
-        return u.lipschitz_estimate()
-    return lipschitz_constant(u)
-
-
 def tau_probe(u_seq, u: ConvexFn, compacts=None, lipschitz_bound: float | None = None,
               per_axis: int = 9) -> TauProbe:
     """Sup-gaps of a sequence to its limit on interior compacts, together with
@@ -118,7 +105,7 @@ def tau_probe(u_seq, u: ConvexFn, compacts=None, lipschitz_bound: float | None =
         pts = K.grid_points(per_axis) if not K.is_degenerate else K.vertices
         sample_sets.append(np.vstack([pts, K.vertices]))
     if lipschitz_bound is None:
-        lipschitz_bound = 5.0 * (1.0 + _function_lipschitz(u))
+        lipschitz_bound = 5.0 * (1.0 + lipschitz_constant(u))
     gaps = []
     lips = []
     for uk in u_seq:
@@ -132,7 +119,7 @@ def tau_probe(u_seq, u: ConvexFn, compacts=None, lipschitz_bound: float | None =
             else:
                 row.append(float(np.abs(vk - vu).max()))
         gaps.append(tuple(row))
-        lips.append(_function_lipschitz(uk))
+        lips.append(lipschitz_constant(uk))
     return TauProbe(tuple(compacts), float(lipschitz_bound), tuple(gaps),
                     tuple(lips), TAU_GAP_TOL)
 

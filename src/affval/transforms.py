@@ -148,8 +148,8 @@ class EnvelopeFn(ConvexFn):
     """
 
     def __init__(self, base: ConvexFn, lam: float, mu: float):
-        if lam <= 0 or mu <= 0:
-            raise BadParameter(f"lambda and mu must be positive, got {lam}, {mu}")
+        if not (0 < lam < np.inf and 0 < mu < np.inf):
+            raise BadParameter(f"lambda and mu must be finite and positive, got {lam}, {mu}")
         if base.domain is None:
             raise BadInput("the envelope base needs a compact domain")
         self.base = base

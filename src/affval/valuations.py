@@ -155,13 +155,13 @@ def zeta_dual(zeta: ConcFn) -> ConcFn:
 # Z_zeta
 
 
-def z_zeta(u: ConvexFn, zeta: ConcFn, grid: int | None = None) -> float:
+def z_zeta(u: ConvexFn, zeta: ConcFn) -> float:
     """Z_zeta(u), exact on cell representations and by quadrature otherwise."""
     if u.domain is None and not u.is_cylinder:
         raise BadInput("Z_zeta needs a compact domain")
     if u.is_cylinder or isinstance(u, (PAFn, QuadFn, PLQFn)):
         return z_zeta_plq(u, zeta)
-    return z_zeta_numeric(u, u.domain, zeta, grid=grid)
+    return z_zeta_numeric(u, u.domain, zeta)
 
 
 def z_zeta_plq(u: ConvexFn, zeta: ConcFn) -> float:
@@ -292,10 +292,10 @@ class Valuation:
         return apply(self, u)
 
 
-def apply(val: Valuation, u: ConvexFn, grid: int | None = None) -> float:
+def apply(val: Valuation, u: ConvexFn) -> float:
     if u.domain is None:
         raise BadInput("the valuation is defined for compact domains")
-    return float(val.c0 + val.c1 * u.domain.volume + z_zeta(u, val.zeta, grid=grid))
+    return float(val.c0 + val.c1 * u.domain.volume + z_zeta(u, val.zeta))
 
 
 def valuation_identity_check(val: Valuation, u: ConvexFn, v: ConvexFn) -> CheckReport:

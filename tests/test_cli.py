@@ -245,6 +245,37 @@ def test_cli_experiment_usc(tmp_path, capsys):
     assert len(lines) == 3
 
 
+SQUARE = {"type": "indicator", "domain": {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}}
+STAIRCASE = {"kind": "staircase", "s": 0, "a": 1, "r": 2, "ms": [1, 2]}
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["eval", "F", "--point", "0.5"], {}, "--point has 1 coordinates, the function has dimension 2"),
+    (["envelope", "F", "--lambda", "1", "--mu", "1", "--eval-grid", "G"],
+     {"G": {"points": [[0.5], [0.2]]}}, "--eval-grid.points has shape [2, 1]"),
+    (["envelope", "F", "--lambda", "1", "--mu", "1", "--eval-grid", "G"],
+     {"G": {"pts": [[0.5, 0.5]]}}, "--eval-grid.points is missing"),
+    (["envelope", "F", "--lambda", "1", "--mu", "1", "--eval-grid", "G"],
+     {"G": [[0.5, 0.5]]}, "--eval-grid is not an object"),
+    (["envelope", "F", "--lambda", "nan", "--mu", "1", "--eval-grid", "G"],
+     {"G": {"points": []}}, "got nan, 1.0"),
+    (["envelope", "F", "--lambda", "1", "--mu", "inf", "--eval-grid", "G"],
+     {"G": {"points": []}}, "got 1.0, inf"),
+    (["experiment", "usc", "--config", "C"],
+     {"C": {"sequence": {k: v for k, v in STAIRCASE.items() if k != "ms"}}},
+     "config.sequence.ms is missing"),
+    (["experiment", "usc", "--config", "C"],
+     {"C": {"sequence": {"kind": "pa_approx", "ks": [2]}}}, "config.limit is missing"),
+    (["experiment", "usc", "--config", "C"], {"C": {"zeta": "sqrt"}},
+     "config.sequence is missing"),
+])
+def test_cli_bad_input_names_itself(tmp_path, capsys, argv, files, message):
+    paths = {"F": write(tmp_path, "F.json", SQUARE)}
+    paths.update({k: write(tmp_path, k + ".json", v) for k, v in files.items()})
+    assert main([paths.get(a, a) for a in argv]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_infconv(tmp_path, capsys):
     a = write(tmp_path, "a.json",
               {"type": "indicator", "domain": {"dim": 1, "vertices": [[0], [1]]}})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from affval import generators
 from affval.errors import DegenerateDomain, EmptyDomain, NotConvex, OutsideDomain
@@ -11,6 +12,7 @@ from affval.funcs import (
     PLQFn,
     QuadFn,
     QuadraticFn,
+    _dedupe_pieces,
     certify_plq,
     join,
     lipschitz_constant,
@@ -278,6 +280,87 @@ def test_cells_match_ambient_enumeration(seed):
         assert len(got) >= 1
         for (P, _), (Q, _) in zip(got, want):
             assert vertex_sets_equal(P, Q, tol=1e-9)
+
+
+def essential_mask_lp(G, c, P):
+    """Piece i is kept when some point of P beats every other piece by a
+    positive margin t; one LP per piece in the chart of P.  Pieces that agree
+    on the affine hull of P are not rivals: both are kept or neither.  The
+    oracle for essential_mask_on_domain, which reads the activity regions
+    instead.  A point domain keeps the first piece attaining the max."""
+    k = len(G)
+    mask = np.zeros(k, dtype=bool)
+    origin, Q = P.chart
+    d = P.intrinsic_dim
+    if d == 0:
+        mask[int(np.argmax(G @ origin + c))] = True
+        return mask
+    Ad, bd = P.chart_halfspaces
+    Gz, cz = G @ Q, c + G @ origin
+    lifted = np.column_stack([Gz, cz])
+    for i in range(k):
+        others = np.abs(lifted - lifted[i]).max(axis=1) > 1e-9 * max(1.0, np.abs(lifted).max())
+        res = linprog(
+            np.append(np.zeros(d), -1.0),
+            A_ub=np.vstack([np.column_stack([Gz[others] - Gz[i], np.ones(others.sum())]),
+                            np.column_stack([Ad, np.zeros(len(Ad))])]),
+            b_ub=np.concatenate([cz[i] - cz[others], bd]),
+            bounds=[(None, None)] * d + [(-1.0, 1.0)],
+            method="highs",
+        )
+        mask[i] = res.status == 0 and -res.fun > 1e-11
+    return mask
+
+
+def _pruning_oracle_inputs():
+    rng = np.random.default_rng(406)
+    for n in (1, 2, 3):
+        domains = [generators.random_polytope(rng, n), point(rng.uniform(-1, 1, n)),
+                   box(-np.ones(n), np.ones(n))]
+        if n > 1:
+            domains.append(segment(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)))
+            domains.append(segment(-np.ones(n), np.ones(n)))
+        if n == 3:
+            domains.append(hull(rng.uniform(-1, 1, (3, 3))))
+            domains.append(hull(np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]])))
+        for P in domains:
+            for k in (2, 4, 7):
+                yield random_pieces(rng, n, k), P
+                # integer data: ties, and pieces whose region is a lower face
+                G, c = rng.integers(-2, 3, (k, n)), rng.integers(-2, 3, k)
+                yield [AffineFn(g, float(ci)) for g, ci in zip(G, c)], P
+
+
+def test_pruned_on_domain_matches_lp_and_cells():
+    thin = 0
+    for pieces, P in _pruning_oracle_inputs():
+        u = PAFn(pieces, P)
+        G, c = _dedupe_pieces(u.G, u.cvec)
+        mask = essential_mask_lp(G, c, P)
+        if not mask.any():
+            mask[0] = True
+        got = u.pruned()
+        assert np.array_equal(got.G, G[mask]) and np.array_equal(got.cvec, c[mask])
+        # the kept pieces are those owning an activity cell; on a point
+        # domain every tied piece owns one, but only the first is kept
+        full = PAFn([AffineFn(g, ci) for g, ci in zip(G, c)], P)
+        owners = [any(l is p for _, l in full.cells) for p in full.pieces]
+        regions = [len(z) > 0 for z in full._regions]
+        thin += sum(regions) - sum(owners)
+        if P.intrinsic_dim == 0:
+            assert mask.sum() == 1 and np.all(np.array(owners)[mask])
+        else:
+            assert owners == mask.tolist()
+    assert thin > 0   # some inputs have nonempty regions that own no cell
+
+
+def test_pruned_keeps_pieces_that_agree_on_a_thin_domain():
+    # the first and last pieces agree along the diagonal and share the max on
+    # its lower half; a strict-margin test drops both and changes the function
+    u = PAFn([AffineFn([1.0, -2.0], 2.0), AffineFn([1.0, 2.0], 2.0), AffineFn([-2.0, 1.0], 2.0)],
+             segment([-1, -1], [1, 1]))
+    X = np.linspace(-1, 1, 9)[:, None] * np.ones(2)
+    np.testing.assert_allclose(u.pruned().eval_many(X), u.eval_many(X), rtol=0, atol=1e-12)
 
 
 # -- cylinders ----------------------------------------------------------------

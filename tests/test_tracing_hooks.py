@@ -8,6 +8,7 @@ import affval
 import affval.cli
 from affval import funcs, measures
 from affval.funcs import AffineFn, PAFn
+from affval.geometry import cube
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -33,3 +34,15 @@ def test_benchmark_tracer_installs_and_uninstalls():
     assert {s[0] for s in tracer.spans} >= {"measures.ma_total_mass", "funcs.lower_hull_pieces"}
     assert (funcs.lower_hull_pieces, funcs.PAFn.__dict__["cells"], measures.monge_ampere_pa) \
         == originals
+
+
+def test_benchmark_tracer_spans_pruning_on_a_domain():
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        u = PAFn([AffineFn([1.0, 0.0], 0.0), AffineFn([-1.0, 0.0], 0.0),
+                  AffineFn([0.0, 0.0], -5.0)], cube(2)).pruned()
+    finally:
+        tracer.uninstall()
+    assert len(u.pieces) == 2
+    assert {s[0] for s in tracer.spans} >= {"funcs.PAFn.pruned", "funcs.essential_mask_on_domain"}

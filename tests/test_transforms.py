@@ -232,6 +232,11 @@ def test_envelope_bad_parameters():
         moreau_box(abs_on_interval(), 0.0, 1.0)
     with pytest.raises(BadParameter):
         moreau_box(abs_on_interval(), 1.0, -2.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(BadParameter, match=f"got {bad}, 1.0"):
+            moreau_box(abs_on_interval(), bad, 1.0)
+        with pytest.raises(BadParameter, match=f"got 1.0, {bad}"):
+            moreau_box(abs_on_interval(), 1.0, bad)
 
 
 def test_envelope_eval_outside_raises():
