@@ -140,6 +140,8 @@ def _cmd_zvalue(args) -> int:
     zeta = _parse_zeta(args.zeta)
     if u.domain is None:
         raise BadInput("Z_zeta needs a compact domain")
+    if args.grid is not None and not args.numeric:
+        raise BadInput("--grid sets the quadrature grid and needs --numeric")
     if args.numeric:
         z = z_zeta_numeric(u, u.domain, zeta, grid=args.grid)
     else:
@@ -258,26 +260,35 @@ def _cmd_construct(args) -> int:
 
 def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
-        cfg = json.load(fh)
-    seq_cfg = jsonio._field(cfg, "config.sequence")
+        cfg = {"zeta": "sqrt", "c0": 0.0, "c1": 0.0,
+               **jsonio._check_type(json.load(fh), dict, "config")}
+    seq_cfg = {"t1": 1.0, "t2": 1.0, "n": 2, **jsonio._check_type(
+        jsonio._field(cfg, "config.sequence"), dict, "config.sequence")}
 
-    def member(key):
-        return jsonio._field(seq_cfg, f"config.sequence.{key}")
+    def count(value, path):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise BadInput(f"{path} is not a positive integer")
+        return value
 
-    zeta = _parse_zeta(cfg.get("zeta", "sqrt"))
-    val = Valuation(float(cfg.get("c0", 0.0)), float(cfg.get("c1", 0.0)), zeta)
-    kind = member("kind")
+    def counts(key):
+        path = f"config.sequence.{key}"
+        return [count(k, f"{path}[{i}]")
+                for i, k in enumerate(jsonio._check_type(jsonio._field(seq_cfg, path), list, path))]
+
+    zeta = _parse_zeta(str(cfg["zeta"]))
+    val = Valuation(jsonio._number(cfg, "config.c0"), jsonio._number(cfg, "config.c1"), zeta)
+    kind = jsonio._field(seq_cfg, "config.sequence.kind")
     if kind == "staircase":
-        spec0 = dict(s=member("s"), a=member("a"), r=member("r"),
-                     t1=seq_cfg.get("t1", 1.0), t2=seq_cfg.get("t2", 1.0),
-                     n=seq_cfg.get("n", 2))
-        indices = list(jsonio._check_type(member("ms"), list, "config.sequence.ms"))
+        spec0 = {k: jsonio._number(seq_cfg, f"config.sequence.{k}")
+                 for k in ("s", "a", "r", "t1", "t2")}
+        spec0["n"] = count(seq_cfg["n"], "config.sequence.n")
+        indices = counts("ms")
         members = [sequences.staircase_sequence(sequences.StaircaseSpec(m=m, **spec0))
                    for m in indices]
         limit = sequences.staircase_reference(sequences.StaircaseSpec(m=1, **spec0))
     elif kind == "pa_approx":
         limit = jsonio.function_from_dict(jsonio._field(cfg, "config.limit"))
-        indices = list(jsonio._check_type(member("ks"), list, "config.sequence.ks"))
+        indices = counts("ks")
         members = [sequences.pa_approximate(limit, k) for k in indices]
     else:
         raise BadInput(f"unknown sequence kind {kind!r}")

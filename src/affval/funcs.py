@@ -790,6 +790,10 @@ def certify_plq(cells, domain: Polytope | None = None) -> PLQFn:
     vertices, edge midpoints and the barycenter), and monotonicity of the
     gradient jump along each facet normal.  Raises NotConvex with the
     offending cell or facet.
+
+    Only pairs whose bounding boxes meet within FEAS_TOL of the coordinate
+    scale are intersected (in `itertools.combinations` order): cells further
+    apart share no facet and no interior, so they could add no check.
     """
     cs = [(P, q) for P, q in cells if not P.is_degenerate]
     if not cs:
@@ -803,8 +807,11 @@ def certify_plq(cells, domain: Polytope | None = None) -> PLQFn:
     if abs(total - dom.volume) > CERT_TOL * (1.0 + dom.volume):
         raise NotConvex(
             f"cells cover {total:.12g} of domain volume {dom.volume:.12g}")
+    lo, hi = (np.array([P.bbox[k] for P, _ in cs]) for k in (0, 1))
+    below = np.all(lo[:, None] <= hi[None] + FEAS_TOL * scale_of(lo, hi), axis=2)
     facet_checks = []
-    for (i, (Pi, qi)), (j, (Pj, qj)) in itertools.combinations(enumerate(cs), 2):
+    for i, j in zip(*(k.tolist() for k in np.nonzero(np.triu(below & below.T, k=1)))):
+        (Pi, qi), (Pj, qj) = cs[i], cs[j]
         R = intersect(Pi, Pj)
         if R is None:
             continue

@@ -178,6 +178,16 @@ def _ccw_order(verts: np.ndarray) -> np.ndarray:
     return verts[np.argsort(ang)]
 
 
+def _content(v: np.ndarray) -> float:
+    """Length, area or volume of the hull of points that span their space."""
+    if v.shape[1] == 1:
+        return float(v.max() - v.min())
+    if v.shape[1] == 3:
+        return float(ConvexHull(v).volume)
+    x, y = _ccw_order(v).T
+    return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
 def _unit_rows(A: np.ndarray, b: np.ndarray):
     norms = np.linalg.norm(A, axis=1)
     norms[norms == 0] = 1.0
@@ -313,16 +323,7 @@ class Polytope:
 
     @cached_property
     def volume(self) -> float:
-        if self.is_degenerate:
-            return 0.0
-        v = self.vertices
-        if self.dim == 1:
-            return float(v.max() - v.min())
-        if self.dim == 2:
-            o = _ccw_order(v)
-            x, y = o[:, 0], o[:, 1]
-            return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-        return float(ConvexHull(v).volume)
+        return 0.0 if self.is_degenerate else _content(self.vertices)
 
     # -- constructions -------------------------------------------------------
 
@@ -402,32 +403,79 @@ def point(p) -> Polytope:
 # -- operations ----------------------------------------------------------------
 
 
+def _basic_solutions(A: np.ndarray, B: np.ndarray, dim: int):
+    """Basic solutions of {x : A x <= B[:, j]} for each of the k columns of B,
+    from one enumeration of the nonsingular bases of A: (sols, feas) of shapes
+    (k, bases, dim) and (k, bases), feas marking solutions feasible within
+    FEAS_TOL of their scale."""
+    m, k = B.shape
+    combos = np.array(list(itertools.combinations(range(m), dim)), dtype=int).reshape(-1, dim)
+    mats = A[combos]
+    dets = np.abs(np.linalg.det(mats))
+    row_scale = np.maximum(np.linalg.norm(mats, axis=2).prod(axis=1), NORM_FLOOR)
+    ok = dets > BASIS_TOL * row_scale
+    # one right-hand side per solve, so that a batch repeats the bits of k = 1
+    sols = np.linalg.solve(mats[ok], B[combos[ok]].transpose(2, 0, 1)[..., None])[..., 0]
+    scale = np.maximum(1.0, np.abs(sols).max(axis=2))
+    resid = (sols.reshape(-1, dim) @ A.T).reshape(k, -1, m) - B.T[:, None, :]
+    return sols, np.all(resid <= (FEAS_TOL * scale)[..., None], axis=2)
+
+
+def _distinct_vertices(pts: np.ndarray) -> np.ndarray:
+    """Feasible basic solutions, sorted, one per group of near-equal points."""
+    pts = _lex_sorted(pts)
+    return pts[near_duplicate_leaders(pts, VERTEX_MERGE_TOL * scale_of(pts))[0]]
+
+
 def vertices_from_halfspaces(A: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     """All vertices of {x : A x <= b} by basis enumeration.
 
     Suitable for the small systems arising at n <= 3; returns an empty array
     when the region is infeasible (or unbounded with no basic solutions).
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m = len(A)
-    if m < dim:
-        return np.zeros((0, dim))
-    combos = np.array(list(itertools.combinations(range(m), dim)))
-    mats = A[combos]
-    dets = np.abs(np.linalg.det(mats))
-    row_scale = np.maximum(np.linalg.norm(mats, axis=2).prod(axis=1), NORM_FLOOR)
-    ok = dets > BASIS_TOL * row_scale
-    if not np.any(ok):
-        return np.zeros((0, dim))
-    sols = np.linalg.solve(mats[ok], b[combos[ok]][..., None])[..., 0]
-    scale = np.maximum(1.0, np.abs(sols).max(axis=1))
-    feas = np.all(sols @ A.T - b <= (FEAS_TOL * scale)[:, None], axis=1)
-    pts = sols[feas]
-    if len(pts) == 0:
-        return np.zeros((0, dim))
-    pts = _lex_sorted(pts)
-    return pts[near_duplicate_leaders(pts, VERTEX_MERGE_TOL * scale_of(pts))[0]]
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    sols, feas = _basic_solutions(A, b[:, None], dim)
+    return _distinct_vertices(sols[0][feas[0]])
+
+
+def box_clip_volumes(P: Polytope, centers: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Volumes of P intersected with each box centers[j] +/- delta / 2.
+
+    A box is clipped only by the facets of P that cut it, a.c + |a|.delta/2 > b:
+    the others hold on the whole box.  Boxes cut by the same facets share one
+    basis enumeration of [A_S; I; -I].  A clip counts 0 when its distinct
+    vertices fail the rank test of `Polytope.is_degenerate`.
+    """
+    n = P.dim
+    A, b = P.halfspaces
+    out = np.zeros(len(centers))
+    cut = centers @ A.T + np.abs(A) @ (delta / 2) > b
+    patterns, group = np.unique(cut, axis=0, return_inverse=True)
+    for g, pattern in enumerate(patterns):
+        members = np.flatnonzero(group.ravel() == g)
+        c = centers[members]
+        offs = np.vstack([np.repeat(b[pattern][:, None], len(c), axis=1),
+                          (c + delta / 2).T, -(c - delta / 2).T])
+        sols, feas = _basic_solutions(np.vstack([A[pattern], np.eye(n), -np.eye(n)]), offs, n)
+        # each box's feasible solutions first; boxes with two of them within
+        # the merge tolerance go through _distinct_vertices, the others keep all
+        order = np.argsort(~feas, axis=1, kind="stable")[:, :feas.sum(axis=1).max(initial=0)]
+        rows = np.arange(len(c))[:, None]
+        pts, keep = sols[rows, order], feas[rows, order]
+        w = keep[..., None]
+        tol = VERTEX_MERGE_TOL * np.maximum(1.0, np.abs(pts * w).max(axis=(1, 2), initial=0.0))
+        near = np.abs(pts[:, :, None] - pts[:, None]).max(axis=3) <= tol[:, None, None]
+        near &= w & keep[:, None] & ~np.eye(pts.shape[1], dtype=bool)
+        for j in np.flatnonzero(near.any(axis=(1, 2))):
+            distinct = _distinct_vertices(pts[j][keep[j]])
+            pts[j, :len(distinct)], keep[j] = distinct, np.arange(len(keep[j])) < len(distinct)
+        # the rank test of _affine_chart, for every box in one batched SVD
+        mean = (pts * w).sum(axis=1) / np.maximum(keep.sum(axis=1), 1)[:, None]
+        s = np.linalg.svd((pts - mean[:, None]) * w, compute_uv=False)
+        rank = np.sum(s > EPS_GEOM * np.maximum(1.0, s.max(axis=1, initial=0.0))[:, None], axis=1)
+        for j in np.flatnonzero(rank == n):
+            out[members[j]] = _content(_lex_sorted(pts[j][keep[j]]))
+    return out
 
 
 def halfspaces_bounded(A: np.ndarray) -> bool:

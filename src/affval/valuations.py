@@ -214,9 +214,9 @@ def z_zeta_numeric(f, dom: Polytope, zeta: ConcFn, grid: int | None = None) -> f
     """Midpoint quadrature of zeta(det Hessian) over the domain.
 
     Hessians use central differences with step h = FD_STEP_QUADRATURE times
-    the domain diameter.  Cells crossing the boundary are clipped to their exact
-    intersection volume; midpoints within 2h of the boundary take the
-    integrand of the nearest safe interior midpoint.
+    the domain diameter.  Cells crossing the boundary are clipped, by the
+    facets that cut them only, to their exact intersection volume; midpoints
+    within 2h of the boundary take the integrand of the nearest safe one.
 
     The estimator never looks at the cell structure of the input, so its
     error on piecewise inputs is the usual midpoint-rule O(spacing) band
@@ -233,25 +233,15 @@ def z_zeta_numeric(f, dom: Polytope, zeta: ConcFn, grid: int | None = None) -> f
     eval_many = f.eval_many if hasattr(f, "eval_many") else lambda X: np.asarray(f(X), dtype=float)
     lo, hi = dom.bbox
     delta = (hi - lo) / grid
-    cell_vol = float(np.prod(delta))
     axes = [lo[i] + delta[i] * (np.arange(grid) + 0.5) for i in range(n)]
     centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    A, b = dom.halfspaces
     dist = dom.boundary_distances(centers)
     r_cell = 0.5 * float(np.linalg.norm(delta))
 
     weights = np.zeros(len(centers))
-    weights[dist <= -r_cell] = cell_vol
-    boundary = np.where((dist > -r_cell) & (dist < r_cell))[0]
-    eye = np.eye(n)
-    cell_rows = np.vstack([eye, -eye])
-    for ci in boundary:
-        c = centers[ci]
-        rows = np.vstack([A, cell_rows])
-        offs = np.concatenate([b, c + delta / 2, -(c - delta / 2)])
-        piece = geometry.from_halfspaces(rows, offs, n)
-        if piece is not None and not piece.is_degenerate:
-            weights[ci] = piece.volume
+    weights[dist <= -r_cell] = np.prod(delta)
+    boundary = (dist > -r_cell) & (dist < r_cell)
+    weights[boundary] = geometry.box_clip_volumes(dom, centers[boundary], delta)
 
     covered = weights > 0
     if not covered.any():

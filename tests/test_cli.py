@@ -268,6 +268,27 @@ STAIRCASE = {"kind": "staircase", "s": 0, "a": 1, "r": 2, "ms": [1, 2]}
      {"C": {"sequence": {"kind": "pa_approx", "ks": [2]}}}, "config.limit is missing"),
     (["experiment", "usc", "--config", "C"], {"C": {"zeta": "sqrt"}},
      "config.sequence is missing"),
+    (["experiment", "usc", "--config", "C"], {"C": {"sequence": {**STAIRCASE, "ms": ["x"]}}},
+     "config.sequence.ms[0] is not a positive integer"),
+    (["experiment", "usc", "--config", "C"], {"C": {"sequence": {**STAIRCASE, "ms": [1, 1.5]}}},
+     "config.sequence.ms[1] is not a positive integer"),
+    (["experiment", "usc", "--config", "C"], {"C": {"sequence": {**STAIRCASE, "ms": [0]}}},
+     "config.sequence.ms[0] is not a positive integer"),
+    (["experiment", "usc", "--config", "C"], {"C": {"sequence": {**STAIRCASE, "s": "q"}}},
+     "config.sequence.s is not a number"),
+    (["experiment", "usc", "--config", "C"], {"C": {"sequence": {**STAIRCASE, "t2": [1]}}},
+     "config.sequence.t2 is not a number"),
+    (["experiment", "usc", "--config", "C"], {"C": {"sequence": {**STAIRCASE, "n": "3"}}},
+     "config.sequence.n is not a positive integer"),
+    (["experiment", "usc", "--config", "C"], {"C": {"c0": "abc", "sequence": STAIRCASE}},
+     "config.c0 is not a number"),
+    (["experiment", "usc", "--config", "C"],
+     {"C": {"sequence": {"kind": "pa_approx", "ks": [True]}, "limit": SQUARE}},
+     "config.sequence.ks[0] is not a positive integer"),
+    (["experiment", "usc", "--config", "C"], {"C": {"zeta": 5, "sequence": STAIRCASE}},
+     "unknown zeta spec '5'"),
+    (["zvalue", "F", "--zeta", "sqrt", "--grid", "16"], {},
+     "--grid sets the quadrature grid and needs --numeric"),
 ])
 def test_cli_bad_input_names_itself(tmp_path, capsys, argv, files, message):
     paths = {"F": write(tmp_path, "F.json", SQUARE)}

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,8 @@ from affval.funcs import (
     QuadFn,
     QuadraticFn,
     _dedupe_pieces,
+    _facet_normal,
+    _facet_samples,
     certify_plq,
     join,
     lipschitz_constant,
@@ -24,11 +29,13 @@ from affval.geometry import (
     box,
     cube,
     hull,
+    intersect,
     point,
     segment,
     vertex_sets_equal,
     vertices_from_halfspaces,
 )
+from affval.numerics import CERT_TOL, EPS_GEOM, OVERLAP_TOL, scale_of
 
 
 def abs_on_interval():
@@ -239,6 +246,107 @@ def test_certify_accepts_tangent_matched_cells():
     u = certify_plq([(box([-1], [1]), core), (box([1], [2]), collar)])
     assert len(u.cells) == 2
     assert u.certificate
+
+
+def certify_all_pairs(cells, domain=None):
+    """The all-pairs certificate that `certify_plq` replaced: every pair of
+    cells is intersected.  Returns the facet checks or raises NotConvex."""
+    cs = [(P, q) for P, q in cells if not P.is_degenerate]
+    if not cs:
+        raise NotConvex("no full-dimensional cells")
+    n = cs[0][0].dim
+    for idx, (P, q) in enumerate(cs):
+        if q.min_eigenvalue < -EPS_GEOM * scale_of(q.A):
+            raise NotConvex(f"cell {idx}: quadratic not PSD (min eig {q.min_eigenvalue:.3e})")
+    dom = domain if domain is not None else hull(np.vstack([P.vertices for P, _ in cs]))
+    total = sum(P.volume for P, _ in cs)
+    if abs(total - dom.volume) > CERT_TOL * (1.0 + dom.volume):
+        raise NotConvex(f"cells cover {total:.12g} of domain volume {dom.volume:.12g}")
+    checks = []
+    for (i, (Pi, qi)), (j, (Pj, qj)) in itertools.combinations(enumerate(cs), 2):
+        R = intersect(Pi, Pj)
+        if R is None:
+            continue
+        if R.intrinsic_dim == n:
+            if R.volume > OVERLAP_TOL * (1.0 + min(Pi.volume, Pj.volume)):
+                raise NotConvex(f"cells {i} and {j} have overlapping interiors")
+            continue
+        if R.intrinsic_dim != n - 1:
+            continue
+        samples = _facet_samples(R)
+        vi, vj = qi.eval_many(samples), qj.eval_many(samples)
+        cont = float(np.abs(vi - vj).max())
+        if cont > CERT_TOL * (1.0 + float(max(np.abs(vi).max(), np.abs(vj).max()))):
+            raise NotConvex(f"value jump {cont:.3e} across facet of cells {i},{j}")
+        nu = _facet_normal(R, n)
+        if nu @ (Pj.barycenter - Pi.barycenter) < 0:
+            nu = -nu
+        jump = (samples @ (qj.A - qi.A).T + (qj.b - qi.b)) @ nu
+        mono = float(jump.min())
+        if mono < -CERT_TOL * (1.0 + float(np.abs(jump).max())):
+            raise NotConvex(f"gradient jump {mono:.3e} against the facet normal of cells {i},{j}")
+        checks.append((i, j, cont, mono))
+    return tuple(checks)
+
+
+def _box_tiling(rng, n, count):
+    """Boxes from random guillotine cuts of [0, 1]^n; in 3-d some of them
+    meet only along an edge or at a corner."""
+    boxes = [(np.zeros(n), np.ones(n))]
+    while len(boxes) < count:
+        lo, hi = boxes.pop(int(rng.integers(len(boxes))))
+        axis = int(rng.integers(n))
+        t = lo[axis] + rng.uniform(0.2, 0.8) * (hi[axis] - lo[axis])
+        upper, lower = hi.copy(), lo.copy()
+        upper[axis] = lower[axis] = t
+        boxes += [(lo, upper), (lower, hi)]
+    return [box(lo, hi) for lo, hi in boxes]
+
+
+@functools.cache
+def _certify_cases():
+    from affval.sequences import StaircaseSpec, staircase_sequence
+
+    rng = np.random.default_rng(11)
+    cases = []
+    for spec in (StaircaseSpec(0.0, 1.0, 2.0, m=6), StaircaseSpec(0.2, 0.9, 1.7, m=3, n=3)):
+        cases.append((staircase_sequence(spec).cells, spec.base_box()))
+    for n, count in ((2, 12), (3, 10)):
+        # one convex quadratic on every tile, then a value jump on one tile
+        q = QuadraticFn(generators.random_psd(rng, n), rng.uniform(-1, 1, n), 0.0)
+        tiles = _box_tiling(rng, n, count)
+        cases.append(([(P, q) for P in tiles], None))
+        bumped = QuadraticFn(q.A, q.b, 1e-3)
+        cases.append(([(P, bumped if k == count // 2 else q) for k, P in enumerate(tiles)], None))
+        # the activity cells of a random PA function, as affine quadratics
+        u = PAFn(random_pieces(rng, n, 9), cube(n))
+        cases.append(([(P, QuadraticFn(np.zeros((n, n)), l.grad, l.c)) for P, l in u.cells],
+                      u.domain))
+    # the bad cells of the tests above, and two overlapping intervals
+    qa, qb = QuadraticFn([[2.0]], [0.0], 0.0), QuadraticFn([[2.0]], [0.0], 1.0)
+    up, down = QuadraticFn([[0.0]], [1.0], 0.0), QuadraticFn([[0.0]], [-1.0], 2.0)
+    cases += [([(box([0], [1]), qa), (box([1], [2]), qb)], None),
+              ([(cube(2), QuadraticFn(np.diag([1.0, -1.0]), np.zeros(2), 0.0))], None),
+              ([(box([0], [1]), up), (box([1], [2]), down)], None),
+              ([(box([0], [2]), qa), (box([1], [3]), qa)], box([0], [4]))]
+    return cases
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_certify_plq_matches_all_pairs(case):
+    cells, domain = _certify_cases()[case]
+    try:
+        want = certify_all_pairs(cells, domain)
+    except NotConvex as exc:
+        with pytest.raises(NotConvex) as got:
+            certify_plq(cells, domain)
+        assert str(got.value) == str(exc)
+        return
+    got = certify_plq(cells, domain).certificate
+    assert got == want
+    assert all(type(i) is int and type(j) is int for i, j, _, _ in got)
+    # tiles that share a facet are found; in 3-d some pairs meet in less
+    assert len(want) >= len(cells) - 1
 
 
 # -- activity cells -------------------------------------------------------------

@@ -46,3 +46,23 @@ def test_benchmark_tracer_spans_pruning_on_a_domain():
         tracer.uninstall()
     assert len(u.pieces) == 2
     assert {s[0] for s in tracer.spans} >= {"funcs.PAFn.pruned", "funcs.essential_mask_on_domain"}
+
+
+def test_benchmark_tracer_spans_exact_and_numeric_zvalue(tmp_path):
+    from affval import jsonio
+    from affval.sequences import StaircaseSpec, staircase_sequence
+
+    src = tmp_path / "stairs.json"
+    src.write_text(jsonio.dumps(jsonio.function_to_dict(
+        staircase_sequence(StaircaseSpec(0.0, 1.0, 2.0, m=2)))))
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        exact = affval.cli.main(["zvalue", str(src), "--zeta", "sqrt"])
+        numeric = affval.cli.main(["zvalue", str(src), "--zeta", "sqrt", "--numeric",
+                                   "--grid", "8"])
+    finally:
+        tracer.uninstall()
+    assert exact == numeric == 0
+    assert {s[0] for s in tracer.spans} >= {"cli.zvalue", "funcs.certify_plq", "geometry.intersect",
+                                            "valuations.z_zeta_plq", "valuations.z_zeta_numeric"}

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from affval import generators
 from affval.errors import BadTransform, NotAValuation, NotConc
 from affval.funcs import AffineFn, PAFn, QuadFn, QuadraticFn, make_cylinder
-from affval.geometry import AffineMap, box, cube, point, segment
+from affval.geometry import (AffineMap, box, box_clip_volumes, cube, from_halfspaces, hull, point,
+                             segment)
 from affval.valuations import (
     Valuation,
     apply,
@@ -139,6 +140,60 @@ def test_quadrature_on_triangle_domain():
     u = QuadFn(QuadraticFn(3.0 * np.eye(2), np.zeros(2), 0.0), tri)
     num = z_zeta_numeric(u, tri, SQ)
     assert num == pytest.approx(3.0 * tri.volume, rel=0.01)
+
+
+def clip_volumes_loop(P, centers, delta):
+    """The per-box clip that `box_clip_volumes` replaced: one polytope per
+    box from every facet of P and the box, volume 0 when it is degenerate."""
+    n = P.dim
+    A, b = P.halfspaces
+    eye = np.eye(n)
+    out = np.zeros(len(centers))
+    for i, c in enumerate(centers):
+        piece = from_halfspaces(np.vstack([A, eye, -eye]),
+                                np.concatenate([b, c + delta / 2, -(c - delta / 2)]), n)
+        if piece is not None and not piece.is_degenerate:
+            out[i] = piece.volume
+    return out
+
+
+def _grid_boxes(P, grid, shift):
+    """Centers of a grid of boxes over the bounding box of P, one box wider
+    on each side and moved by `shift` boxes, and the box widths."""
+    lo, hi = P.bbox
+    delta = (hi - lo) / grid
+    axes = [lo[i] + delta[i] * (np.arange(-1, grid + 1) + 0.5 + shift) for i in range(P.dim)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, P.dim), delta
+
+
+def _clip_cases():
+    rng = np.random.default_rng(7)
+    cases = []
+    for n, grid in ((1, 8), (2, 12), (3, 3)):
+        cases.append((hull(rng.normal(size=(2 + 3 * n, n))), grid, 0.3))
+        # halfspace form: facets tangent to a ball, some of them redundant
+        normals = rng.normal(size=(4 * n, n))
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        normals = np.vstack([normals, np.eye(n), -np.eye(n)])
+        cases.append((from_halfspaces(normals, rng.uniform(0.8, 1.2, len(normals)), n), grid, 0.3))
+        # the simplex on [0, 1]^n on an aligned grid: its slanted facet
+        # passes through box corners, so boxes outside it touch it at a
+        # corner or an edge
+        cases.append((hull(np.vstack([np.zeros(n), np.eye(n)])), 8 if n < 3 else 4, 0.0))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_box_clip_volumes_match_per_box_loop(case):
+    P, grid, shift = _clip_cases()[case]
+    centers, delta = _grid_boxes(P, grid, shift)
+    batch = box_clip_volumes(P, centers, delta)
+    loop = clip_volumes_loop(P, centers, delta)
+    np.testing.assert_array_equal(batch == 0, loop == 0)
+    assert np.all(np.abs(batch - loop) <= 1e-12 * np.prod(delta))
+    # boxes outside, inside and (but on the 1-d aligned grid) cut by P all occur
+    assert 0 < np.count_nonzero(batch) < len(batch)
+    assert (P.dim == 1 and shift == 0) or np.any((batch > 0) & (batch < 0.999 * np.prod(delta)))
 
 
 # -- the full valuation -------------------------------------------------------
