@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import generators, jsonio, sequences, valuations
-from .errors import AffvalError, BadInput
+from .errors import AffvalError, BadInput, BadParameter
 from .funcs import PAFn
 from .measures import ma_total_mass, monge_ampere_pa
 from .numerics import MA_MASS_TOL, REL_ERR_FLOOR
@@ -35,12 +35,16 @@ zeta specs: power:P (0<P<1), sqrt
 CSV columns of check reports: index,name,residual,tolerance,pass"""
 
 
-def _parse_zeta(spec: str):
+def _parse_zeta(spec: str, path: str):
+    """The weight a zeta spec names; `path` names the spec in error messages."""
     if spec == "sqrt":
         return valuations.sqrt_zeta()
     if spec.startswith("power:"):
-        return valuations.power_zeta(float(spec.split(":", 1)[1]))
-    raise BadInput(f"unknown zeta spec {spec!r} (use power:P or sqrt)")
+        try:
+            return valuations.power_zeta(float(spec.split(":", 1)[1]))
+        except (ValueError, BadParameter):
+            raise BadInput(f"{path} {spec!r} is not power:P with a number 0 < P < 1") from None
+    raise BadInput(f"{path}: unknown zeta spec {spec!r} (use power:P or sqrt)")
 
 
 def _emit(args, obj) -> None:
@@ -137,7 +141,7 @@ def _cmd_ma(args) -> int:
 
 def _cmd_zvalue(args) -> int:
     u = jsonio.load_function(args.func)
-    zeta = _parse_zeta(args.zeta)
+    zeta = _parse_zeta(args.zeta, "--zeta")
     if u.domain is None:
         raise BadInput("Z_zeta needs a compact domain")
     if args.grid is not None and not args.numeric:
@@ -275,7 +279,7 @@ def _cmd_experiment(args) -> int:
         return [count(k, f"{path}[{i}]")
                 for i, k in enumerate(jsonio._check_type(jsonio._field(seq_cfg, path), list, path))]
 
-    zeta = _parse_zeta(str(cfg["zeta"]))
+    zeta = _parse_zeta(str(cfg["zeta"]), "config.zeta")
     val = Valuation(jsonio._number(cfg, "config.c0"), jsonio._number(cfg, "config.c1"), zeta)
     kind = jsonio._field(seq_cfg, "config.sequence.kind")
     if kind == "staircase":

@@ -67,3 +67,8 @@ class EvalError(AffvalError):
 
 class NotAValuation(AffvalError):
     pass
+
+
+class NumericalLimit(AffvalError):
+    """A valid input that floating point cannot resolve within the
+    library's tolerances (e.g. Qhull fails even with joggle)."""

@@ -34,12 +34,13 @@ from .errors import (
     DimMismatch,
     EmptyDomain,
     NotConvex,
+    NumericalLimit,
     OutsideDomain,
 )
 from .geometry import Polytope, hull, intersect, minkowski_sum
 from .numerics import (ACTIVE_TOL, CERT_TOL, DOMINATE_TOL, EPS_GEOM, FEAS_TOL,
                        GRAD_TOL, LINE_COEF_TOL, LOWER_FACET_TOL, MERGE_TOL, OVERLAP_TOL,
-                       SUBDIVISION_MERGE_TOL, scale_of)
+                       QHULL_VERTEX_TOL, SUBDIVISION_MERGE_TOL, scale_of)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +497,24 @@ def _activity_regions(G: np.ndarray, c: np.ndarray, P: Polytope) -> list[np.ndar
     """Per piece, the vertices in the chart of P of the region of P where
     that piece attains the max (empty where it never does).
 
+    The regions are the faces of the epigraph of max_i (G_i z + c_i) over P.
+    One Qhull halfspace intersection of that epigraph, capped at a height T
+    above the max, finds all their vertices: piece i's region holds those
+    where piece i is tight within FEAS_TOL, widened by QHULL_VERTEX_TOL of the
+    epigraph's extent for Qhull's own error (no piece is tight on the cap).
+    Qhull works on unit rows, with z centred at the barycentre of P and scaled
+    by its half-extent per axis and t measured down from T in units of the
+    epigraph's depth, so that its error is relative to the extent of the
+    data rather than to its magnitude.  Qhull's coordinates only choose rows:
+    each region is enumerated by `vertices_from_halfspaces` from the rows of
+    [A_P; G_j - G_i], in that order, that are tight at one of its vertices.
+    They include every facet of the region, and each vertex is solved from
+    the same basis as when enumerating all the rows, so it has the same bits.
+    A row left out that fails at a vertex found (Qhull's error hid its
+    tightness) joins its system, which is enumerated again until every row
+    left out holds.  Raises NumericalLimit when a Qhull vertex is tight on d
+    rows or fewer, so that Qhull's error defeats the tightness test.
+
     Working inside the chart serves degenerate domains too; on a
     full-dimensional domain the chart is the identity.
     """
@@ -509,12 +528,55 @@ def _activity_regions(G: np.ndarray, c: np.ndarray, P: Polytope) -> list[np.ndar
     Ad, bd = P.chart_halfspaces
     Gz = G @ Q
     cz = c + G @ origin
-    out = []
-    for i in range(len(Gz)):
-        A = np.vstack([Ad, np.delete(Gz, i, axis=0) - Gz[i]])
-        b = np.concatenate([bd, cz[i] - np.delete(cz, i)])
-        out.append(geometry.vertices_from_halfspaces(A, b, d))
-    return out
+    m, k = len(Ad), len(Gz)
+    zv = P.chart_vertices
+    at_zv = zv @ Gz.T + cz
+    top = at_zv.max()
+    cap = top + scale_of(top, zv)
+    # rows [a, alpha, beta] of a.z + alpha t + beta <= 0: the facets of P, the pieces, the cap
+    epigraph = np.column_stack([np.vstack([Ad, Gz, np.zeros(d)]),
+                                np.concatenate([np.zeros(m), -np.ones(k), [1.0]]),
+                                np.concatenate([-bd, cz, [-cap]])])
+    # Qhull's frame: z = centre + half * w, t = cap + depth * s, unit rows
+    centre = zv.mean(axis=0)
+    half = np.abs(zv - centre).max(axis=0)
+    depth = cap - at_zv.max(axis=1).min()
+    frame = np.column_stack([epigraph[:, :d] * half, epigraph[:, d] * depth,
+                             epigraph[:, :d] @ centre + epigraph[:, d] * cap + epigraph[:, -1]])
+    norms = np.linalg.norm(frame[:, :-1], axis=1)
+    frame /= norms[:, None]
+    interior = np.append(np.zeros(d), 0.5 * ((Gz @ centre + cz).max() - cap) / depth)
+    verts = geometry.halfspace_vertices(frame, interior)
+    z, t = centre + half * verts[:, :d], cap + depth * verts[:, d]
+    # the enumeration's slack, plus Qhull's error, which grows with the epigraph
+    tol = (FEAS_TOL * np.maximum(1.0, np.abs(z).max(axis=1))
+           + QHULL_VERTEX_TOL * (scale_of(cap, t) + np.abs(Gz).sum(axis=1).max() * scale_of(zv)))
+    tight = norms[:, None] * (frame[:, :-1] @ verts.T + frame[:, -1:]) >= -tol
+    # a vertex of the epigraph is tight on at least d + 1 of its facets
+    if np.any(tight.sum(axis=0) <= d):
+        raise NumericalLimit("the activity subdivision is not resolved within FEAS_TOL: "
+                             "the coefficients or the domain span too many orders of magnitude")
+    # piece i's rows [A_P; G_j - G_i] in the enumeration's order (row j = i is
+    # zero and never kept), and those of them tight at a vertex of its region
+    rows_A = np.concatenate([np.broadcast_to(Ad, (k, m, d)), Gz[None] - Gz[:, None]], axis=1)
+    rows_b = np.concatenate([np.broadcast_to(bd, (k, m)), cz[:, None] - cz[None]], axis=1)
+    regions = tight[m:m + k]
+    kept = regions @ tight[:m + k].T
+    kept[np.arange(k), m + np.arange(k)] = False
+    out = [geometry.vertices_from_halfspaces(rows_A[i][kept[i]], rows_b[i][kept[i]], d)
+           if regions[i].any() else np.zeros((0, d)) for i in range(k)]
+    while True:
+        # the rows left out that fail at a vertex found, with the slack of the enumeration
+        owner = np.repeat(np.arange(k), [len(r) for r in out])
+        pts = np.vstack(out)
+        excess = np.einsum("nrd,nd->nr", rows_A[owner], pts) - rows_b[owner]
+        failed = excess > FEAS_TOL * np.maximum(1.0, np.abs(pts).max(axis=1, initial=0.0))[:, None]
+        failed &= ~kept[owner]
+        if not failed.any():
+            return out
+        for i in np.unique(owner[failed.any(axis=1)]):
+            kept[i] |= failed[owner == i].any(axis=0)
+            out[i] = geometry.vertices_from_halfspaces(rows_A[i][kept[i]], rows_b[i][kept[i]], d)
 
 
 def _region_cells(regions: list[np.ndarray], P: Polytope) -> list[Polytope | None]:

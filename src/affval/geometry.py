@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-from .errors import DimMismatch, EmptyInput, SingularMap
+from .errors import DimMismatch, EmptyInput, NumericalLimit, SingularMap
 from .numerics import (BASIS_TOL, COLLINEAR_TOL, EPS_GEOM, FACET_MERGE_TOL, FEAS_TOL, MERGE_TOL,
                        NORM_FLOOR, NORMAL_RANK_TOL, QHULL_JOGGLE, SINGULAR_DET, VERTEX_MERGE_TOL,
                        scale_of)
@@ -137,12 +137,31 @@ def _hull_2d(z: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
+def _joggled(qhull_call, *args):
+    """qhull_call(*args), retried with joggle when exact arithmetic fails; a
+    second failure is a NumericalLimit, so no QhullError leaves here."""
+    try:
+        return qhull_call(*args)
+    except QhullError:
+        try:
+            return qhull_call(*args, qhull_options=QHULL_JOGGLE)
+        except QhullError as exc:
+            lines = str(exc).splitlines()
+            why = next((line for line in lines if " error" in line), lines[0] if lines else "")
+            raise NumericalLimit(f"Qhull failed even with joggle: {why}") from None
+
+
 def _qhull(points: np.ndarray) -> ConvexHull:
     """Qhull of the points, retried with joggle when exact arithmetic fails."""
-    try:
-        return ConvexHull(points)
-    except QhullError:
-        return ConvexHull(points, qhull_options=QHULL_JOGGLE)
+    return _joggled(ConvexHull, points)
+
+
+def halfspace_vertices(halfspaces: np.ndarray, interior: np.ndarray) -> np.ndarray:
+    """Vertices of the bounded polyhedron {x : A x + b <= 0}, given as rows
+    [A b], from one Qhull halfspace intersection around a strictly interior
+    point.  Coordinates carry Qhull's dual-facet error (about 1e-12
+    relative): read combinatorics from them, not bits."""
+    return _joggled(HalfspaceIntersection, halfspaces, interior).intersections
 
 
 def _hull_3d(z: np.ndarray) -> np.ndarray:
@@ -183,7 +202,7 @@ def _content(v: np.ndarray) -> float:
     if v.shape[1] == 1:
         return float(v.max() - v.min())
     if v.shape[1] == 3:
-        return float(ConvexHull(v).volume)
+        return float(_qhull(v).volume)
     x, y = _ccw_order(v).T
     return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
@@ -264,8 +283,8 @@ class Polytope:
             A = np.stack([e[:, 1], -e[:, 0]], axis=1)
             b = np.einsum("ij,ij->i", A, ordered)
             return _unit_rows(A, b)
-        hull = ConvexHull(z)
-        eqs = hull.equations[near_duplicate_leaders(hull.equations, FACET_MERGE_TOL)[0]]
+        eqs = _qhull(z).equations
+        eqs = eqs[near_duplicate_leaders(eqs, FACET_MERGE_TOL)[0]]
         return _unit_rows(eqs[:, :-1], -eqs[:, -1])
 
     @cached_property

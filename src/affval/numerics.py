@@ -40,6 +40,7 @@ BASIS_TOL = 1e-10          # vertex enumeration: nonsingular basis; relative to 
 NORM_FLOOR = 1e-30         # floor of that product, so a zero row never passes; absolute
 LOWER_FACET_TOL = 1e-10    # lower facet: last entry of the unit normal below -this; absolute
 QHULL_JOGGLE = "QJ1e-12"   # Qhull retry after an exact-arithmetic failure; joggle relative to data
+QHULL_VERTEX_TOL = 1e-10   # Qhull vertex error in a slack; relative to the epigraph's extent
 THIN_CELL_TOL = 1e-12      # separable_clip_plq skips boxes no wider on some axis; absolute
 
 # maps and quadratic pieces

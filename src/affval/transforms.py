@@ -3,7 +3,9 @@
 Conjugation of piecewise affine functions runs in both directions:
 
 * compact-domain max-of-affines -> finite-valued max-of-affines, built from
-  the vertices of the activity subdivision (epigraph vertices);
+  the vertices of the activity subdivision, i.e. of the epigraph over the
+  domain, which one Qhull halfspace intersection finds
+  (`funcs._activity_regions`);
 * finite-valued max-of-affines -> compact-domain function, built as the lower
   convex hull of the lifted points (gradient, -intercept).
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from affval import jsonio
 from affval.cli import _build_parser, main
@@ -289,6 +290,14 @@ STAIRCASE = {"kind": "staircase", "s": 0, "a": 1, "r": 2, "ms": [1, 2]}
      "unknown zeta spec '5'"),
     (["zvalue", "F", "--zeta", "sqrt", "--grid", "16"], {},
      "--grid sets the quadrature grid and needs --numeric"),
+    (["experiment", "usc", "--config", "C"], {"C": {"zeta": 5, "sequence": STAIRCASE}},
+     "config.zeta: unknown zeta spec '5'"),
+    (["experiment", "usc", "--config", "C"], {"C": {"zeta": "power:abc", "sequence": STAIRCASE}},
+     "config.zeta 'power:abc' is not power:P"),
+    (["zvalue", "F", "--zeta", "power:abc"], {}, "--zeta 'power:abc' is not power:P"),
+    (["zvalue", "F", "--zeta", "power:"], {}, "--zeta 'power:' is not power:P"),
+    (["zvalue", "F", "--zeta", "power:1.5"], {}, "--zeta 'power:1.5' is not power:P"),
+    (["zvalue", "F", "--zeta", "cbrt"], {}, "--zeta: unknown zeta spec 'cbrt'"),
 ])
 def test_cli_bad_input_names_itself(tmp_path, capsys, argv, files, message):
     paths = {"F": write(tmp_path, "F.json", SQUARE)}
@@ -384,3 +393,154 @@ def test_cli_function_json_fuzz(case):
                 json.loads(out.getvalue())
             else:
                 assert err.getvalue().startswith("error: ")
+
+
+# -- numeric fuzzing of conjugate ------------------------------------------------
+
+
+@st.composite
+def _compact_pa_documents(draw):
+    """Compact PA functions with entries from 1e-8 to 1e8 in magnitude, some
+    pieces repeated exactly and some repeated up to a relative 1e-12."""
+    n = draw(st.integers(1, 3))
+
+    def numbers(size):
+        mantissa = draw(st.lists(st.floats(-1, 1), min_size=size, max_size=size))
+        exponent = draw(st.lists(st.integers(-8, 8), min_size=size, max_size=size))
+        return np.array(mantissa) * 10.0 ** np.array(exponent)
+
+    k = draw(st.integers(1, 5))
+    pieces = [(numbers(n), float(numbers(1)[0])) for _ in range(k)]
+    for i in draw(st.lists(st.integers(0, k - 1), max_size=3)):
+        g, c = pieces[i]
+        wiggle = 1.0 + 1e-12 * draw(st.sampled_from([0.0, 1.0, -3.0]))
+        pieces.append((g * wiggle, c) if draw(st.booleans()) else (g, c * wiggle))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    vertices = numbers(n * draw(st.integers(n + 1, n + 4))).reshape(-1, n) * scale
+    return {"type": "pa", "domain": {"dim": n, "vertices": vertices.tolist()},
+            "pieces": [{"grad": g.tolist(), "c": c} for g, c in pieces]}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_compact_pa_documents())
+def test_cli_conjugate_numeric_fuzz(doc):
+    # huge, tiny, tied and near-tied coefficients: conjugate exits 0 with a
+    # function that loads back, or 2 with a message, and never raises
+    with tempfile.TemporaryDirectory() as tmp:
+        src, dst = os.path.join(tmp, "u.json"), os.path.join(tmp, "conj.json")
+        with open(src, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["conjugate", "--in", src, "--out", dst])
+        assert code in (0, 2), err.getvalue()
+        if code == 0:
+            jsonio.load_function(dst)
+        else:
+            assert err.getvalue().startswith("error: ")
+
+
+# Draws of _compact_pa_documents whose activity subdivision Qhull cannot
+# resolve in the raw coordinates: slivers 1e7 long and 1 wide, entries from
+# 1e-316 to 1e15, pieces tied exactly or to 1e-12.  (domain vertices, pieces)
+_HARD_COMPACT_PA = [
+    ([[0.0, 0.0, 0.0], [0.0, 9757.118875261063, 2.220446049250313e-12],
+      [862.2457534108307, 6971975.592919244, -5.888396605517412e-22],
+      [-1.5770256232496875e-239, 2.2250738585217784e-303, 0.0009115711356559722]],
+     [([25500.457588812318, -7.542101848216443e-309, 95672.44468288712], 0.14438621260707962),
+      ([-7.611264965393421, -1447.6767001403057, -2.026693833553273e-186], 652816.7624341466),
+      ([0.005624606300986574, -5.888396605517411e-29, 0.99999], 7.130237149259448e-07),
+      ([0.0, -0.0099999, -6.54866775768726e-05], 0.0),
+      ([-0.6548667757687259, 0.0, 1.1427480376593844e-06], 0.0)]),
+    ([[0.0, 1142.7480376593846, 0.0], [0.0, 9757.118875261063, 2.220446049250313e-12],
+      [862.2457534108307, 6971975.592919244, -5.888396605517412e-22],
+      [-1.5770256232496875e-239, 2.2250738585217784e-303, 0.0009115711356559722]],
+     [([25500.457588812318, -7.542101848216443e-309, 95672.44468288712], 0.14438621260707962),
+      ([-7.611264965393421, -1447.6767001403057, -2.026693833553273e-186], 652816.7624341466),
+      ([0.005624606300986574, -5.888396605517411e-29, 0.99999], 7.130237149259448e-07),
+      ([0.0, -0.0099999, -6.54866775768726e-05], 0.0),
+      ([-0.6548667757687259, 0.0, 1.1427480376593844e-06], 0.0)]),
+    ([[0.0, 1142.7480376593846, 0.0], [0.0, 9757.118875261063, 2.220446049250313e-12],
+      [862.2457534108307, 6971975.592919244, -5.888396605517412e-22],
+      [-1.5770256232496875e-239, 2.2250738585217784e-303, 0.0009115711356559722]],
+     [([25500.457588812318, -7.542101848216443e-309, 95672.44468288712], 0.14438621260707962),
+      ([-7.611264965393421, -1447.6767001403057, -2.026693833553273e-186], 0.0),
+      ([0.005624606300986574, -5.888396605517411e-29, 0.99999], 7.130237149259448e-07),
+      ([0.0, -0.0099999, -6.54866775768726e-05], 0.0),
+      ([-0.6548667757687259, 0.0, 1.1427480376593844e-06], 0.0)]),
+    ([[-596046.4477539062, -7.441841820205276, -1.192092896e-07],
+      [4.940656458412465e-308, -0.3721526984557241, 21.436720009354616],
+      [100000000.0, 96640894.41066754, 1.7028776023550903e-85],
+      [1e-05, -8156860.754656165, -1775.5192654893272],
+      [96258077.9093789, 707481722924159.6, 266448961.9641024],
+      [50762031.30090522, -87.78706686984235, -78464071716905.89]],
+     [([5.7448756833142454e-09, -5.700362074356223e-06, -8.096417847238302e-208],
+       809.9279822413141),
+      ([-7.97333534037755, -9.501444998793756e-05, -0.024750591953229973], 13.556692025430085)]),
+    ([[1.0000000000000001e-23, 1.0000000000000001e-23], [9.861217587831271e-09, 0.0],
+      [-4.5283142030837436e-13, -0.9707024548756249]],
+     [([0.00040083069829737974, -26107439.69555739], 0.36504968755051626),
+      ([0.00040083069829737974, -26107439.69555739], 0.36504968755051626),
+      ([0.00040083069829617725, -26107439.695479065], 0.36504968755051626)]),
+    ([[-6.905995743712889e-12, -8.800306023675981e-16],
+      [7.30585648809817e-07, -0.5526071991612879],
+      [-2.2673684788986946e-06, 5.839556748224603e-112],
+      [-9.888552190112336e-06, -1.175494351e-45]],
+     [([0.6312634122538943, 4722.716037149022], 0.06606964735060195),
+      ([-8.845444869352757e-05, -0.01], -1.1125369292536007e-306),
+      ([1.6226070302809648e-09, -60.40668331889395], -4.960395985929684e-262),
+      ([-2.3645444852237385e-05, 0.0009426857508571307], -8.546570505459962e-06),
+      ([-53394781.31120922, -8.757464861573595], 0.033041611187157226),
+      ([0.6312634122538943, 4722.716037149022], 0.06606964735060195)]),
+    ([[-6.905995743712889e-12, -8.800306023675981e-16],
+      [7.30585648809817e-07, -0.5526071991612879],
+      [-2.2673684788986946e-06, 5.839556748224603e-112],
+      [-9.888552190112336e-06, -1.175494351e-45]],
+     [([0.6312634122538943, 4722.716037149022], 0.06606964735060195),
+      ([-8.845444869352757e-05, -0.01], -85.46570505459962),
+      ([1.6226070302809648e-09, -60.40668331889395], -4.960395985929684e-262),
+      ([-2.3645444852237385e-05, 0.0009426857508571307], -8.546570505459962e-06),
+      ([-53394781.31120922, -8.757464861573595], 0.033041611187157226),
+      ([0.6312634122538943, 4722.716037149022], 0.06606964735060195)]),
+    ([[888531.6633325283, 2737708790517106.0, 750.3189794975267],
+      [-17819806569206.72, 3.937065573122963e-236, -374193988348916.4],
+      [-660050290.1235799, 546.7332283936582, 9473.43077961126],
+      [69102.8855932295, -0.8390292336759786, -6306.705660429781],
+      [-93.57220597758315, -1.9951679252865804, 183960628311.03708],
+      [-7339585536807.403, 10000000000000.0, -8.821751732044713e-110],
+      [1.192092896e-06, -1.496651289743855e-260, -366483755.4118664]],
+     [([4.9999999999999996e-06, 91947.85352365447, -6.781053053000139e-287], -4.94065646e-316),
+      ([9.078357089168224e-06, 9.886315556395568e-07, 2.61665166596029e-08],
+       -4.3171293838707155e-202),
+      ([105920.26211787564, -3.110991865974795e-291, 1.4559077939509646e-05],
+       -0.0736654485834126),
+      ([15512.563914693555, 3904.122648106012, 420009.0003930728], -1386.2162450463122),
+      ([4.9999999999999996e-06, 91947.85352365447, -6.781053053000139e-287], -4.94065646e-316)]),
+]
+
+
+def _conjugate_by_lp(u, y, scale):
+    """u*(y) / scale: the max of y.x - t over the weights of the domain's
+    vertices x and t above every piece, as one LP in units of scale."""
+    V = u.domain.vertices
+    at_v = u.G @ V.T + u.cvec[:, None]
+    res = linprog(np.append(-(V @ y) / scale, 1.0),
+                  A_ub=np.column_stack([at_v / scale, -np.ones(len(at_v))]),
+                  b_ub=np.zeros(len(at_v)), A_eq=np.append(np.ones(len(V)), 0.0)[None], b_eq=[1.0],
+                  bounds=[(0, None)] * len(V) + [(None, None)], method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+@pytest.mark.parametrize("vertices,pieces", _HARD_COMPACT_PA)
+def test_cli_conjugate_hard_compact_pa_matches_lp(tmp_path, vertices, pieces):
+    doc = {"type": "pa", "domain": {"dim": len(vertices[0]), "vertices": vertices},
+           "pieces": [{"grad": g, "c": c} for g, c in pieces]}
+    dst = str(tmp_path / "conj.json")
+    assert main(["conjugate", "--in", write(tmp_path, "u.json", doc), "--out", dst]) == 0
+    u, conj = jsonio.function_from_dict(doc), jsonio.load_function(dst)
+    slope = np.abs(u.G).max() + 1.0
+    scale = slope * np.abs(u.domain.vertices).max() + np.abs(u.cvec).max()
+    for y in np.random.default_rng(0).uniform(-2, 2, (10, u.dim)) * slope:
+        assert conj.eval_many(y[None])[0] / scale == pytest.approx(_conjugate_by_lp(u, y, scale),
+                                                                   abs=1e-7)

@@ -15,6 +15,7 @@ from affval.funcs import (
     PLQFn,
     QuadFn,
     QuadraticFn,
+    _activity_regions,
     _dedupe_pieces,
     _facet_normal,
     _facet_samples,
@@ -28,6 +29,7 @@ from affval.funcs import (
 from affval.geometry import (
     box,
     cube,
+    from_halfspaces,
     hull,
     intersect,
     point,
@@ -35,7 +37,7 @@ from affval.geometry import (
     vertex_sets_equal,
     vertices_from_halfspaces,
 )
-from affval.numerics import CERT_TOL, EPS_GEOM, OVERLAP_TOL, scale_of
+from affval.numerics import CERT_TOL, EPS_GEOM, FEAS_TOL, OVERLAP_TOL, scale_of
 
 
 def abs_on_interval():
@@ -349,7 +351,68 @@ def test_certify_plq_matches_all_pairs(case):
     assert len(want) >= len(cells) - 1
 
 
-# -- activity cells -------------------------------------------------------------
+# -- activity regions and cells ----------------------------------------------
+
+
+def activity_regions_by_enumeration(G, c, P, pieces=None):
+    """One basis enumeration of all the rows [A_P; G_j - G_i] per piece i (or
+    per listed piece), in the chart of P: the oracle for `_activity_regions`,
+    which enumerates only the rows tight on each region."""
+    origin, Q = P.chart
+    d = P.intrinsic_dim
+    if d == 0:
+        vals = G @ origin + c
+        tol = FEAS_TOL * scale_of(origin)
+        return [np.zeros((int(v >= vals.max() - tol), 0)) for v in vals]
+    Ad, bd = P.chart_halfspaces
+    Gz, cz = G @ Q, c + G @ origin
+    return [vertices_from_halfspaces(np.vstack([Ad, np.delete(Gz, i, axis=0) - Gz[i]]),
+                                     np.concatenate([bd, cz[i] - np.delete(cz, i)]), d)
+            for i in (range(len(Gz)) if pieces is None else pieces)]
+
+
+def _halfspace_polytope(rng, n):
+    """Random unit normals and offsets, cut to the box [-1.5, 1.5]^n."""
+    A = rng.normal(size=(n + 3, n))
+    A = np.vstack([A / np.linalg.norm(A, axis=1)[:, None], np.eye(n), -np.eye(n)])
+    b = np.concatenate([rng.uniform(0.3, 1.0, n + 3), np.full(2 * n, 1.5)])
+    return from_halfspaces(A, b, n)
+
+
+def _region_oracle_inputs(seed):
+    """(G, c, P, pieces to check or None for all)."""
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3):
+        domains = [cube(n), generators.random_polytope(rng, n), _halfspace_polytope(rng, n),
+                   point(rng.uniform(-1, 1, n))]
+        if n > 1:
+            domains.append(segment(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)))
+        if n == 3:
+            domains.append(hull(rng.uniform(-1, 1, (3, 3))))
+        for P in domains:
+            for k in (1, 4, 9):
+                yield rng.uniform(-2, 2, (k, n)), rng.uniform(-1, 1, k), P, None
+                # integer data: ties, non-simple vertices, regions on lower faces
+                G, c = rng.integers(-2, 3, (k, n)), rng.integers(-2, 3, k)
+                yield G.astype(float), c.astype(float), P, None
+        # tangent planes of a paraboloid: every piece owns a small cell; the
+        # oracle costs C(k + 5, 3) solves per piece in 3-d, so it checks 6 or 7
+        k = (20, 40, 60)[seed % 3] if n == 3 else 20
+        pts = rng.uniform(-1, 1, (k, n))
+        yield 2 * pts, -np.sum(pts ** 2, axis=1), cube(n), range(0, k, k // 6)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_activity_regions_match_enumeration(seed):
+    sizes = []
+    for G, c, P, pieces in _region_oracle_inputs(seed):
+        got = _activity_regions(G, c, P)
+        want = activity_regions_by_enumeration(G, c, P, pieces)
+        assert len(got) == len(G)
+        got = got if pieces is None else [got[i] for i in pieces]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+        sizes += [len(z) for z in want]
+    assert 0 in sizes and max(sizes) > 4   # empty regions and many-vertex regions both occur
 
 
 def ambient_cells(u):

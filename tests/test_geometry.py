@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affval.errors import DimMismatch, EmptyInput, SingularMap
+from affval.errors import DimMismatch, EmptyInput, NumericalLimit, SingularMap
 from affval.geometry import (
     AffineMap,
+    _qhull,
     affine_image,
     box,
     cube,
@@ -188,6 +189,12 @@ def test_from_halfspaces_box_and_empty():
 ])
 def test_halfspaces_bounded(normals, bounded):
     assert halfspaces_bounded(np.asarray(normals, dtype=float)) == bounded
+
+
+def test_qhull_failure_after_joggle_is_an_affval_error():
+    # two points in the plane span no simplex, with or without joggle
+    with pytest.raises(NumericalLimit, match="QH6214"):
+        _qhull(np.array([[-0.34, 5.99e7], [0.34, 5.99e7]]))
 
 
 def test_polytope_difference_partitions():

@@ -66,3 +66,21 @@ def test_benchmark_tracer_spans_exact_and_numeric_zvalue(tmp_path):
     assert exact == numeric == 0
     assert {s[0] for s in tracer.spans} >= {"cli.zvalue", "funcs.certify_plq", "geometry.intersect",
                                             "valuations.z_zeta_plq", "valuations.z_zeta_numeric"}
+
+
+def test_benchmark_tracer_spans_conjugate_through_the_subdivision(tmp_path):
+    from affval import jsonio
+
+    src, dst = tmp_path / "u.json", tmp_path / "conj.json"
+    src.write_text(jsonio.dumps(jsonio.function_to_dict(
+        PAFn([AffineFn([1.0, 0.5], 0.0), AffineFn([-1.0, 0.0], 0.2), AffineFn([0.0, -1.0], 0.1)],
+             cube(2)))))
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        code = affval.cli.main(["conjugate", "--in", str(src), "--out", str(dst)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert {s[0] for s in tracer.spans} >= {"cli.conjugate", "funcs.PAFn.subdivision_vertices",
+                                            "geometry.vertices_from_halfspaces"}
