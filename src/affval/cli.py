@@ -337,18 +337,18 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("func")
     q.add_argument("--point", required=True, help="comma-separated coordinates")
     q.add_argument("--out")
-    q.set_defaults(fn=_cmd_eval)
+    q.set_defaults(fn="_cmd_eval")
 
     q = sub.add_parser("conjugate", help="Legendre transform of a PA function")
     q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--out", required=True)
-    q.set_defaults(fn=_cmd_conjugate)
+    q.set_defaults(fn="_cmd_conjugate")
 
     q = sub.add_parser("infconv", help="infimal convolution of two PA functions")
     q.add_argument("a")
     q.add_argument("b")
     q.add_argument("--out")
-    q.set_defaults(fn=_cmd_infconv)
+    q.set_defaults(fn="_cmd_infconv")
 
     q = sub.add_parser("envelope", help="box-constrained Moreau envelope values")
     q.add_argument("func")
@@ -356,12 +356,12 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--mu", type=float, required=True)
     q.add_argument("--eval-grid", required=True, help='JSON {"points": [[...], ...]}')
     q.add_argument("--out")
-    q.set_defaults(fn=_cmd_envelope)
+    q.set_defaults(fn="_cmd_envelope")
 
     q = sub.add_parser("ma", help="Monge-Ampere measure of a finite PA function")
     q.add_argument("func")
     q.add_argument("--out")
-    q.set_defaults(fn=_cmd_ma)
+    q.set_defaults(fn="_cmd_ma")
 
     q = sub.add_parser("zvalue", help="valuation value of a function")
     q.add_argument("func")
@@ -371,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--numeric", action="store_true", help="force quadrature")
     q.add_argument("--grid", type=int, default=None, help="quadrature cells per axis (--numeric)")
     q.add_argument("--out")
-    q.set_defaults(fn=_cmd_zvalue)
+    q.set_defaults(fn="_cmd_zvalue")
 
     q = sub.add_parser("check", help="seeded property checks")
     q.add_argument("what", choices=sorted(_CHECKS))
@@ -380,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--dim", type=int, default=2, choices=(1, 2, 3))
     q.add_argument("--out-json")
     q.add_argument("--out-csv")
-    q.set_defaults(fn=_cmd_check)
+    q.set_defaults(fn="_cmd_check")
 
     q = sub.add_parser("construct", help="generate structured instances")
     qs = q.add_subparsers(dest="what", required=True)
@@ -393,35 +393,44 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--m", type=int, default=1)
     st.add_argument("--n", type=int, default=2)
     st.add_argument("--out")
-    st.set_defaults(fn=_cmd_construct)
+    st.set_defaults(fn="_cmd_construct")
     dg = qs.add_parser("degenerate")
     dg.add_argument("--k", type=int, required=True)
     dg.add_argument("--n", type=int, default=2)
     dg.add_argument("--out")
-    dg.set_defaults(fn=_cmd_construct)
+    dg.set_defaults(fn="_cmd_construct")
     zo = qs.add_parser("zonotope")
     zo.add_argument("--mu", type=float, required=True)
     zo.add_argument("--m", type=int, required=True)
     zo.add_argument("--out")
-    zo.set_defaults(fn=_cmd_construct)
+    zo.set_defaults(fn="_cmd_construct")
 
     q = sub.add_parser("experiment", help="run a configured experiment")
     qe = q.add_subparsers(dest="what", required=True)
     us = qe.add_parser("usc")
     us.add_argument("--config", required=True)
-    us.set_defaults(fn=_cmd_experiment)
+    us.set_defaults(fn="_cmd_experiment")
 
     return p
 
 
+# built by the first main call and reused, since building it costs about
+# 2.5 ms.  Subparsers name their handler, which main
+# looks up when it runs, so a handler rebound later (a tracing wrapper, say)
+# still takes effect.
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return globals()[args.fn](args)
     except (AffvalError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

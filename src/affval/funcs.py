@@ -223,7 +223,7 @@ class PAFn(ConvexFn):
     def subdivision_vertices(self):
         """Vertices of the activity subdivision of the domain, with values."""
         z = geometry._lex_sorted(np.vstack(self._regions))
-        tol = SUBDIVISION_MERGE_TOL * scale_of(self.domain.diameter)
+        tol = SUBDIVISION_MERGE_TOL * self.domain.diameter
         z = z[geometry.near_duplicate_leaders(z, tol)[0]]
         origin, Q = self.domain.chart
         x = origin + z @ Q.T
@@ -513,10 +513,14 @@ def _activity_regions(G: np.ndarray, c: np.ndarray, P: Polytope) -> list[np.ndar
     A row left out that fails at a vertex found (Qhull's error hid its
     tightness) joins its system, which is enumerated again until every row
     left out holds.  Raises NumericalLimit when a Qhull vertex is tight on d
-    rows or fewer, so that Qhull's error defeats the tightness test.
+    rows or fewer, so that Qhull's error defeats the tightness test, and when
+    the regions found miss a vertex of P or leave P by more than the slack,
+    as on a domain thinner than the slack at its scale.
 
     Working inside the chart serves degenerate domains too; on a
-    full-dimensional domain the chart is the identity.
+    full-dimensional domain the chart is the identity.  Every slack is
+    relative to max(min(1, diameter of P), |z|), so that it stays below the
+    extent of a domain smaller than unit scale.
     """
     origin, Q = P.chart
     d = P.intrinsic_dim
@@ -530,6 +534,7 @@ def _activity_regions(G: np.ndarray, c: np.ndarray, P: Polytope) -> list[np.ndar
     cz = c + G @ origin
     m, k = len(Ad), len(Gz)
     zv = P.chart_vertices
+    unit = min(1.0, P.diameter)
     at_zv = zv @ Gz.T + cz
     top = at_zv.max()
     cap = top + scale_of(top, zv)
@@ -549,8 +554,9 @@ def _activity_regions(G: np.ndarray, c: np.ndarray, P: Polytope) -> list[np.ndar
     verts = geometry.halfspace_vertices(frame, interior)
     z, t = centre + half * verts[:, :d], cap + depth * verts[:, d]
     # the enumeration's slack, plus Qhull's error, which grows with the epigraph
-    tol = (FEAS_TOL * np.maximum(1.0, np.abs(z).max(axis=1))
-           + QHULL_VERTEX_TOL * (scale_of(cap, t) + np.abs(Gz).sum(axis=1).max() * scale_of(zv)))
+    tol = (FEAS_TOL * np.maximum(unit, np.abs(z).max(axis=1))
+           + QHULL_VERTEX_TOL * (scale_of(cap, t)
+                                 + np.abs(Gz).sum(axis=1).max() * scale_of(zv, floor=unit)))
     tight = norms[:, None] * (frame[:, :-1] @ verts.T + frame[:, -1:]) >= -tol
     # a vertex of the epigraph is tight on at least d + 1 of its facets
     if np.any(tight.sum(axis=0) <= d):
@@ -563,20 +569,30 @@ def _activity_regions(G: np.ndarray, c: np.ndarray, P: Polytope) -> list[np.ndar
     regions = tight[m:m + k]
     kept = regions @ tight[:m + k].T
     kept[np.arange(k), m + np.arange(k)] = False
-    out = [geometry.vertices_from_halfspaces(rows_A[i][kept[i]], rows_b[i][kept[i]], d)
+    out = [geometry.vertices_from_halfspaces(rows_A[i][kept[i]], rows_b[i][kept[i]], d, unit=unit)
            if regions[i].any() else np.zeros((0, d)) for i in range(k)]
     while True:
         # the rows left out that fail at a vertex found, with the slack of the enumeration
         owner = np.repeat(np.arange(k), [len(r) for r in out])
         pts = np.vstack(out)
         excess = np.einsum("nrd,nd->nr", rows_A[owner], pts) - rows_b[owner]
-        failed = excess > FEAS_TOL * np.maximum(1.0, np.abs(pts).max(axis=1, initial=0.0))[:, None]
+        failed = excess > FEAS_TOL * np.maximum(unit, np.abs(pts).max(axis=1, initial=0.0))[:, None]
         failed &= ~kept[owner]
         if not failed.any():
-            return out
+            break
         for i in np.unique(owner[failed.any(axis=1)]):
             kept[i] |= failed[owner == i].any(axis=0)
-            out[i] = geometry.vertices_from_halfspaces(rows_A[i][kept[i]], rows_b[i][kept[i]], d)
+            out[i] = geometry.vertices_from_halfspaces(rows_A[i][kept[i]], rows_b[i][kept[i]], d,
+                                                       unit=unit)
+    # the regions tile P: each vertex of P is a region vertex and each region
+    # vertex lies in P, within the slack of the enumeration at P's scale
+    slack = FEAS_TOL * scale_of(zv, floor=unit)
+    missing = np.abs(zv[:, None] - pts[None]).max(axis=2).min(axis=1, initial=np.inf) > slack
+    if missing.any() or np.any(pts @ Ad.T - bd > slack):
+        raise NumericalLimit(f"the activity subdivision of a domain of diameter {P.diameter:.3g} "
+                             f"is not resolved by the enumeration slack {slack:.3g}: it "
+                             f"{'misses a vertex of' if missing.any() else 'leaves'} the domain")
+    return out
 
 
 def _region_cells(regions: list[np.ndarray], P: Polytope) -> list[Polytope | None]:

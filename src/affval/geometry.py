@@ -422,11 +422,11 @@ def point(p) -> Polytope:
 # -- operations ----------------------------------------------------------------
 
 
-def _basic_solutions(A: np.ndarray, B: np.ndarray, dim: int):
+def _basic_solutions(A: np.ndarray, B: np.ndarray, dim: int, unit: float = 1.0):
     """Basic solutions of {x : A x <= B[:, j]} for each of the k columns of B,
     from one enumeration of the nonsingular bases of A: (sols, feas) of shapes
     (k, bases, dim) and (k, bases), feas marking solutions feasible within
-    FEAS_TOL of their scale."""
+    FEAS_TOL of their scale, max(unit, |x|)."""
     m, k = B.shape
     combos = np.array(list(itertools.combinations(range(m), dim)), dtype=int).reshape(-1, dim)
     mats = A[combos]
@@ -435,26 +435,30 @@ def _basic_solutions(A: np.ndarray, B: np.ndarray, dim: int):
     ok = dets > BASIS_TOL * row_scale
     # one right-hand side per solve, so that a batch repeats the bits of k = 1
     sols = np.linalg.solve(mats[ok], B[combos[ok]].transpose(2, 0, 1)[..., None])[..., 0]
-    scale = np.maximum(1.0, np.abs(sols).max(axis=2))
+    scale = np.maximum(unit, np.abs(sols).max(axis=2))
     resid = (sols.reshape(-1, dim) @ A.T).reshape(k, -1, m) - B.T[:, None, :]
     return sols, np.all(resid <= (FEAS_TOL * scale)[..., None], axis=2)
 
 
-def _distinct_vertices(pts: np.ndarray) -> np.ndarray:
-    """Feasible basic solutions, sorted, one per group of near-equal points."""
+def _distinct_vertices(pts: np.ndarray, unit: float = 1.0) -> np.ndarray:
+    """Feasible basic solutions, sorted, one per group of points within
+    VERTEX_MERGE_TOL of their scale, max(unit, |x|)."""
     pts = _lex_sorted(pts)
-    return pts[near_duplicate_leaders(pts, VERTEX_MERGE_TOL * scale_of(pts))[0]]
+    return pts[near_duplicate_leaders(pts, VERTEX_MERGE_TOL * scale_of(pts, floor=unit))[0]]
 
 
-def vertices_from_halfspaces(A: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+def vertices_from_halfspaces(A: np.ndarray, b: np.ndarray, dim: int, *,
+                             unit: float = 1.0) -> np.ndarray:
     """All vertices of {x : A x <= b} by basis enumeration.
 
     Suitable for the small systems arising at n <= 3; returns an empty array
     when the region is infeasible (or unbounded with no basic solutions).
+    The slacks are relative to max(unit, |x|): a `unit` below 1 keeps them
+    relative on regions smaller than unit scale.
     """
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
-    sols, feas = _basic_solutions(A, b[:, None], dim)
-    return _distinct_vertices(sols[0][feas[0]])
+    sols, feas = _basic_solutions(A, b[:, None], dim, unit)
+    return _distinct_vertices(sols[0][feas[0]], unit)
 
 
 def box_clip_volumes(P: Polytope, centers: np.ndarray, delta: np.ndarray) -> np.ndarray:

@@ -3,7 +3,10 @@
 Each constant is absolute, or relative to a stated scale.  The usual scale
 is `scale_of(data) = max(1, max |x|)`, so a relative tolerance is absolute on
 data below unit scale; check reports and certificates scale by `1 + |value|`
-instead, and print that product in their `tolerance` column.  Pruning on a
+instead, and print that product in their `tolerance` column.  The activity
+subdivision of a domain floors its scales at min(1, diameter) instead of 1
+(`scale_of(..., floor=...)`), so that its slacks stay below the extent of a
+domain smaller than unit scale.  Pruning on a
 domain has no tolerance of its own: it keeps the pieces that own an activity
 cell, so the halfspace-enumeration and rank tolerances below decide it.
 """
@@ -11,9 +14,9 @@ cell, so the halfspace-enumeration and rank tolerances below decide it.
 import numpy as np
 
 
-def scale_of(*xs) -> float:
-    """max(1, |x|) over every entry of the given scalars and arrays."""
-    return max(1.0, *(float(np.abs(x).max(initial=0.0)) for x in xs))
+def scale_of(*xs, floor: float = 1.0) -> float:
+    """max(floor, |x|) over every entry of the given scalars and arrays."""
+    return max(floor, *(float(np.abs(x).max(initial=0.0)) for x in xs))
 
 
 # containment, feasibility and activity
@@ -28,7 +31,7 @@ GRID_INSET = 1e-7          # pa_approximate grid inset from the boundary; relati
 EPS_GEOM = 1e-9            # rank and identity tests; relative to scale_of(data) or 1 + |value|
 MERGE_TOL = 1e-10          # coordinate merge of hull input and lower-hull base points; relative
 VERTEX_MERGE_TOL = 1e-7    # merge of vertices enumerated from halfspaces; relative to scale_of
-SUBDIVISION_MERGE_TOL = 1e-9  # merge of subdivision vertices; relative to scale_of(diameter)
+SUBDIVISION_MERGE_TOL = 1e-9  # merge of subdivision vertices; relative to the domain's diameter
 ATOM_MERGE_TOL = 1e-7      # merge of Monge-Ampere atoms; relative to each atom's scale_of
 FACET_MERGE_TOL = 1e-9     # merge of Qhull facet equations with unit normals; absolute
 GRAD_TOL = 1e-12           # gradient identity; relative to scale_of(G), absolute in _min_cells

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -10,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from affval import jsonio
+import affval
+from affval import cli, jsonio
 from affval.cli import _build_parser, main
 from affval.funcs import AffineFn, PAFn, QuadraticFn
 from affval.geometry import box, cube
@@ -78,6 +81,14 @@ def test_seventeen_digit_serialization():
 
 
 # -- CLI ------------------------------------------------------------------------
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of main(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_cli_ma_on_l1(tmp_path, capsys):
@@ -385,40 +396,73 @@ def test_cli_function_json_fuzz(case):
             json.dump(doc, fh)
         for argv in (["eval", path, "--point", ",".join(["0.5"] * n)],
                      ["zvalue", path, "--zeta", "sqrt"]):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code in (0, 2), (argv, err.getvalue())
+            code, out, err = _run(argv)
+            assert code in (0, 2), (argv, err)
             if code == 0:
-                json.loads(out.getvalue())
+                json.loads(out)
             else:
-                assert err.getvalue().startswith("error: ")
+                assert err.startswith("error: ")
 
 
-# -- numeric fuzzing of conjugate ------------------------------------------------
+# -- numeric fuzzing of conjugate, infconv and ma ---------------------------------
 
 
-@st.composite
-def _compact_pa_documents(draw):
-    """Compact PA functions with entries from 1e-8 to 1e8 in magnitude, some
-    pieces repeated exactly and some repeated up to a relative 1e-12."""
-    n = draw(st.integers(1, 3))
+def _numbers(draw, size):
+    """`size` numbers from 1e-8 to 1e8 in magnitude, or 0."""
+    mantissa = draw(st.lists(st.floats(-1, 1), min_size=size, max_size=size))
+    exponent = draw(st.lists(st.integers(-8, 8), min_size=size, max_size=size))
+    return np.array(mantissa) * 10.0 ** np.array(exponent)
 
-    def numbers(size):
-        mantissa = draw(st.lists(st.floats(-1, 1), min_size=size, max_size=size))
-        exponent = draw(st.lists(st.integers(-8, 8), min_size=size, max_size=size))
-        return np.array(mantissa) * 10.0 ** np.array(exponent)
 
+def _tied_pieces(draw, n):
+    """Pieces with such entries, some repeated exactly and some repeated up to
+    a relative 1e-12."""
     k = draw(st.integers(1, 5))
-    pieces = [(numbers(n), float(numbers(1)[0])) for _ in range(k)]
+    pieces = [(_numbers(draw, n), float(_numbers(draw, 1)[0])) for _ in range(k)]
     for i in draw(st.lists(st.integers(0, k - 1), max_size=3)):
         g, c = pieces[i]
         wiggle = 1.0 + 1e-12 * draw(st.sampled_from([0.0, 1.0, -3.0]))
         pieces.append((g * wiggle, c) if draw(st.booleans()) else (g, c * wiggle))
+    return [{"grad": g.tolist(), "c": c} for g, c in pieces]
+
+
+@st.composite
+def _compact_pa_documents(draw, n=None):
+    """Compact PA functions of dimension n (drawn when None) with tied pieces
+    and a domain of scale 1e-8 to 1e8."""
+    n = draw(st.integers(1, 3)) if n is None else n
+    pieces = _tied_pieces(draw, n)
     scale = 10.0 ** draw(st.integers(-8, 8))
-    vertices = numbers(n * draw(st.integers(n + 1, n + 4))).reshape(-1, n) * scale
-    return {"type": "pa", "domain": {"dim": n, "vertices": vertices.tolist()},
-            "pieces": [{"grad": g.tolist(), "c": c} for g, c in pieces]}
+    vertices = _numbers(draw, n * draw(st.integers(n + 1, n + 4))).reshape(-1, n) * scale
+    return {"type": "pa", "domain": {"dim": n, "vertices": vertices.tolist()}, "pieces": pieces}
+
+
+@st.composite
+def _finite_pa_documents(draw):
+    return {"type": "pa", "domain": None, "pieces": _tied_pieces(draw, draw(st.integers(1, 3)))}
+
+
+@st.composite
+def _compact_pa_pairs(draw):
+    n = draw(st.integers(1, 3))
+    return draw(_compact_pa_documents(n)), draw(_compact_pa_documents(n))
+
+
+def _exits_cleanly(argv, docs, load):
+    """main(argv) with "{name}" in argv naming a temporary file of docs[name]:
+    exit 0 with an output that load(stdout, directory) reads back, or exit 2
+    with a message; never 1 and never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in docs.items():
+            with open(os.path.join(tmp, name), "w") as fh:
+                json.dump(doc, fh)
+        code, out, err = _run([a.format(**{name: os.path.join(tmp, name) for name in docs},
+                                        dir=tmp) for a in argv])
+        assert code in (0, 2), err
+        if code == 0:
+            load(out, tmp)
+        else:
+            assert err.startswith("error: ")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -426,18 +470,25 @@ def _compact_pa_documents(draw):
 def test_cli_conjugate_numeric_fuzz(doc):
     # huge, tiny, tied and near-tied coefficients: conjugate exits 0 with a
     # function that loads back, or 2 with a message, and never raises
-    with tempfile.TemporaryDirectory() as tmp:
-        src, dst = os.path.join(tmp, "u.json"), os.path.join(tmp, "conj.json")
-        with open(src, "w") as fh:
-            json.dump(doc, fh)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(["conjugate", "--in", src, "--out", dst])
-        assert code in (0, 2), err.getvalue()
-        if code == 0:
-            jsonio.load_function(dst)
-        else:
-            assert err.getvalue().startswith("error: ")
+    _exits_cleanly(["conjugate", "--in", "{u}", "--out", "{dir}/conj.json"], {"u": doc},
+                   lambda _, tmp: jsonio.load_function(os.path.join(tmp, "conj.json")))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_compact_pa_pairs())
+def test_cli_infconv_numeric_fuzz(pair):
+    _exits_cleanly(["infconv", "{u}", "{v}"], dict(zip("uv", pair)),
+                   lambda text, _: jsonio.function_from_dict(json.loads(text)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_finite_pa_documents())
+def test_cli_ma_numeric_fuzz(doc):
+    def load(text, _):
+        out = json.loads(text)
+        assert set(out) == {"atoms", "total", "dual_volume"}
+
+    _exits_cleanly(["ma", "{u}"], {"u": doc}, load)
 
 
 # Draws of _compact_pa_documents whose activity subdivision Qhull cannot
@@ -544,3 +595,96 @@ def test_cli_conjugate_hard_compact_pa_matches_lp(tmp_path, vertices, pieces):
     for y in np.random.default_rng(0).uniform(-2, 2, (10, u.dim)) * slope:
         assert conj.eval_many(y[None])[0] / scale == pytest.approx(_conjugate_by_lp(u, y, scale),
                                                                    abs=1e-7)
+
+
+# Draws of _compact_pa_documents on domains thinner than the enumeration slack
+# at their scale (FEAS_TOL times the largest coordinate): spurious basic
+# solutions far outside the domain used to pass for subdivision vertices, and
+# conjugate exited 0 off the LP by 2.7e11 and 0.28 of the scale.
+_THIN_COMPACT_PA = [
+    ([[0.06942410222945598, 1e-23, -1.556640505980529e-97],
+      [1e-22, -2.9190013894958953, -1.9143767835429277e-202],
+      [6.485308362652236e-190, -0.0, -8.645675034434887e-139],
+      [9.676467395037134e-250, -9.794359848132863e-12, -7.417846916766742e-08],
+      [-8.332433539582253e-10, 7.791952536262211e-113, 1.106868548685813e-134],
+      [2.1408501602785024e-236, 1.0, -1.5811313396689489e-97]],
+     [([-1000.0000000000001, 2.3237453145750432e-10, 6.886596526666162e-08],
+       0.008176845891489518),
+      ([-846.0987016893692, 88862346.65986548, -3.4431965162180046e-05], -7.2179786241409e-05),
+      ([8.266291657477748e-05, -5.1356453541189514e-54, 8.17996071732494e-09],
+       6.015299563095295e-48),
+      ([-1.934160476458513e-09, -3.0164627431838884e-220, 1.4014693801578004e-08], 0.01),
+      ([-392.9522278536769, 0.0, -70.503654030307], 6.306819649817478e-08)]),
+    ([[2.5043122055977363e-10, 1.195680593464819e-32], [-7.011630107e-315, -3.40748246763562e-08],
+      [8.84282772603255e-08, 5.537533019510077e-221], [-8.430759577931672, -0.008233435548980953]],
+     [([-9999.999999999998, 0.09575849792404219], -7113796.138323787),
+      ([-9999.999999969998, 0.0957584979237549], -7113796.138323787),
+      ([-9999.999999999998, 0.09575849792404219], -7113796.138330901)]),
+]
+
+
+@pytest.mark.parametrize("vertices,pieces", _THIN_COMPACT_PA)
+def test_cli_conjugate_thin_domain_is_refused_or_right(tmp_path, capsys, vertices, pieces):
+    doc = {"type": "pa", "domain": {"dim": len(vertices[0]), "vertices": vertices},
+           "pieces": [{"grad": g, "c": c} for g, c in pieces]}
+    dst = str(tmp_path / "conj.json")
+    code = main(["conjugate", "--in", write(tmp_path, "u.json", doc), "--out", dst])
+    if code == 2:
+        assert "not resolved by the enumeration slack" in capsys.readouterr().err
+        return
+    assert code == 0
+    u, conj = jsonio.function_from_dict(doc), jsonio.load_function(dst)
+    slope = np.abs(u.G).max() + 1.0
+    scale = slope * np.abs(u.domain.vertices).max() + np.abs(u.cvec).max()
+    for y in np.random.default_rng(0).uniform(-2, 2, (10, u.dim)) * slope:
+        assert conj.eval_many(y[None])[0] / scale == pytest.approx(_conjugate_by_lp(u, y, scale),
+                                                                   abs=1e-7)
+
+
+# -- the parser is built once per process -------------------------------------------
+
+
+def test_cli_parser_built_once(tmp_path, monkeypatch, capsys):
+    builds = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+    path = write(tmp_path, "l1.json", l1_dict())
+    assert [main(["ma", path]), main(["eval", path, "--point", "0,1"]), main(["--bogus"]),
+            main(["ma", path])] == [0, 0, 2, 0]
+    assert len(builds) == 1
+
+
+def test_cli_reused_parser_matches_a_fresh_process(tmp_path, monkeypatch):
+    # one process runs a usage error, --help, a BadInput and a conjugate in a
+    # row; each gives the exit code, stderr and output bytes of a fresh
+    # `python -m affval.cli` running that command alone
+    monkeypatch.setenv("COLUMNS", "80")
+    square = write(tmp_path, "square.json", SQUARE)
+    absf = write(tmp_path, "abs.json", {"type": "pa", "domain": {"dim": 1, "vertices": [[-1], [2]]},
+                                        "pieces": [{"grad": [1.0], "c": 0.0},
+                                                   {"grad": [-1.0], "c": 0.5}]})
+    commands = [["conjugate", "--in", absf, "--out", "{out}", "--bogus"],
+                ["--help"],
+                ["zvalue", square, "--zeta", "sqrt", "--grid", "16"],
+                ["conjugate", "--in", absf, "--out", "{out}"]]
+
+    def outputs(where, run):
+        got = []
+        for i, argv in enumerate(commands):
+            out = tmp_path / f"{where}{i}.json"
+            code, stdout, stderr = run([a.format(out=out) for a in argv])
+            got.append((code, stdout, stderr, out.read_text() if out.exists() else None))
+        return got
+
+    src = os.path.dirname(os.path.dirname(affval.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def fresh(argv):
+        p = subprocess.run([sys.executable, "-m", "affval.cli", *argv], capture_output=True,
+                           text=True, env=env)
+        return p.returncode, p.stdout, p.stderr
+
+    here = outputs("here", _run)
+    assert [g[0] for g in here] == [2, 0, 2, 0]
+    assert here == outputs("fresh", fresh)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from affval import generators
-from affval.errors import DegenerateDomain, EmptyDomain, NotConvex, OutsideDomain
+from affval.errors import DegenerateDomain, EmptyDomain, NotConvex, NumericalLimit, OutsideDomain
 from affval.funcs import (
     AffineFn,
     PAFn,
@@ -367,7 +367,8 @@ def activity_regions_by_enumeration(G, c, P, pieces=None):
     Ad, bd = P.chart_halfspaces
     Gz, cz = G @ Q, c + G @ origin
     return [vertices_from_halfspaces(np.vstack([Ad, np.delete(Gz, i, axis=0) - Gz[i]]),
-                                     np.concatenate([bd, cz[i] - np.delete(cz, i)]), d)
+                                     np.concatenate([bd, cz[i] - np.delete(cz, i)]), d,
+                                     unit=min(1.0, P.diameter))
             for i in (range(len(Gz)) if pieces is None else pieces)]
 
 
@@ -413,6 +414,27 @@ def test_activity_regions_match_enumeration(seed):
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
         sizes += [len(z) for z in want]
     assert 0 in sizes and max(sizes) > 4   # empty regions and many-vertex regions both occur
+
+
+@pytest.mark.parametrize("s", [1e-7, 1e-5, 1e-3, 1.0])
+def test_subdivision_keeps_the_vertices_of_small_domains(s):
+    # tetrahedra of diameter about s under gradients of order 1/s: below unit
+    # scale an absolute slack would be as wide as the domain and lose vertices
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        P = hull(rng.normal(size=(4, 3)) * s)
+        G = rng.normal(size=(5, 3)) * 5e7 * rng.random() * (1e-7 / s)
+        c = rng.normal(size=5)
+        try:
+            x, vals = PAFn([AffineFn(g, ci) for g, ci in zip(G, c)], P).subdivision_vertices()
+        except NumericalLimit:
+            assert s < 1e-3, seed
+            continue
+        gap = np.abs(x[:, None] - P.vertices[None]).max(axis=2)
+        assert gap.min(axis=0).max() <= 1e-3 * P.diameter, seed
+        scale = np.abs(G).max() * np.abs(P.vertices).max() + np.abs(c).max()
+        want = (P.vertices @ G.T + c).max(axis=1)
+        assert np.abs(vals[gap.argmin(axis=0)] - want).max() <= 1e-9 * scale, seed
 
 
 def ambient_cells(u):

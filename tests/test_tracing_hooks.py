@@ -84,3 +84,23 @@ def test_benchmark_tracer_spans_conjugate_through_the_subdivision(tmp_path):
     assert code == 0
     assert {s[0] for s in tracer.spans} >= {"cli.conjugate", "funcs.PAFn.subdivision_vertices",
                                             "geometry.vertices_from_halfspaces"}
+
+
+def test_benchmark_tracer_spans_commands_of_a_parser_built_before_it(tmp_path):
+    # main builds its parser once; the handler it dispatches to is looked up
+    # at call time, so a tracer installed afterwards still sees cli.conjugate
+    from affval import jsonio
+
+    src, dst = tmp_path / "u.json", tmp_path / "conj.json"
+    src.write_text(jsonio.dumps(jsonio.function_to_dict(
+        PAFn([AffineFn([1.0, 0.0], 0.0), AffineFn([-1.0, 0.5], 0.1)], cube(2)))))
+    argv = ["conjugate", "--in", str(src), "--out", str(dst)]
+    assert affval.cli.main(argv) == 0
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        code = affval.cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert "cli.conjugate" in {s[0] for s in tracer.spans}
