@@ -535,9 +535,15 @@ def _activity_regions(G: np.ndarray, c: np.ndarray, P: Polytope) -> list[np.ndar
     m, k = len(Ad), len(Gz)
     zv = P.chart_vertices
     unit = min(1.0, P.diameter)
-    at_zv = zv @ Gz.T + cz
-    top = at_zv.max()
-    cap = top + scale_of(top, zv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        at_zv = zv @ Gz.T + cz
+        top = at_zv.max()
+        cap = top + scale_of(top, zv)
+        depth = cap - at_zv.max(axis=1).min()
+    if not (np.isfinite(cap) and np.isfinite(depth)):
+        raise NumericalLimit(f"gradients up to {np.abs(G).max():.3g} and intercepts up to "
+                             f"{np.abs(c).max():.3g} in magnitude overflow the activity "
+                             f"subdivision of a domain reaching {scale_of(P.vertices):.3g}")
     # rows [a, alpha, beta] of a.z + alpha t + beta <= 0: the facets of P, the pieces, the cap
     epigraph = np.column_stack([np.vstack([Ad, Gz, np.zeros(d)]),
                                 np.concatenate([np.zeros(m), -np.ones(k), [1.0]]),
@@ -545,7 +551,6 @@ def _activity_regions(G: np.ndarray, c: np.ndarray, P: Polytope) -> list[np.ndar
     # Qhull's frame: z = centre + half * w, t = cap + depth * s, unit rows
     centre = zv.mean(axis=0)
     half = np.abs(zv - centre).max(axis=0)
-    depth = cap - at_zv.max(axis=1).min()
     frame = np.column_stack([epigraph[:, :d] * half, epigraph[:, d] * depth,
                              epigraph[:, :d] @ centre + epigraph[:, d] * cap + epigraph[:, -1]])
     norms = np.linalg.norm(frame[:, :-1], axis=1)
@@ -587,7 +592,7 @@ def _activity_regions(G: np.ndarray, c: np.ndarray, P: Polytope) -> list[np.ndar
     # the regions tile P: each vertex of P is a region vertex and each region
     # vertex lies in P, within the slack of the enumeration at P's scale
     slack = FEAS_TOL * scale_of(zv, floor=unit)
-    missing = np.abs(zv[:, None] - pts[None]).max(axis=2).min(axis=1, initial=np.inf) > slack
+    missing = geometry.max_norm_distances(zv, pts).min(axis=1, initial=np.inf) > slack
     if missing.any() or np.any(pts @ Ad.T - bd > slack):
         raise NumericalLimit(f"the activity subdivision of a domain of diameter {P.diameter:.3g} "
                              f"is not resolved by the enumeration slack {slack:.3g}: it "

@@ -34,31 +34,71 @@ def _as_point_array(points) -> np.ndarray:
     return pts
 
 
+_LEADER_BLOCK = 256
+# _EARLIER[j, i]: row j comes before row i of a block
+_EARLIER = np.triu(np.ones((_LEADER_BLOCK, _LEADER_BLOCK), dtype=bool), 1)
+
+
+def max_norm_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """|A_i - B_j| in the max norm for every pair of rows, 0 with no columns;
+    leading axes are batch axes and broadcast.
+
+    One column at a time: numpy reduces a short last axis slowly, and a max
+    is exact, so the bits are those of `np.abs(A[..., :, None, :] -
+    B[..., None, :, :]).max(axis=-1)`.
+    """
+    if not A.shape[-1]:
+        return np.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-2]))
+    D = np.abs(A[..., :, 0, None] - B[..., None, :, 0])
+    for j in range(1, A.shape[-1]):
+        np.maximum(D, np.abs(A[..., :, j, None] - B[..., None, :, j]), out=D)
+    return D
+
+
 def near_duplicate_leaders(X: np.ndarray, tol: float | np.ndarray, prefer=None):
     """Group the rows of X that lie within tol of each other (max norm).
 
-    Rows are scanned in order: each row not yet grouped leads a new group and
-    takes every ungrouped row within tol of it, so a chain a~b~c with a and c
-    apart gives the two groups led by a and c.  `tol` is a scalar or one
-    tolerance per row, in which case the leader's applies.  Returns
-    (keep, group): group[i] is the group of row i and keep[j] the row kept for
-    group j, the leader or, with `prefer`, the member of largest preference
-    (the earliest on ties).
+    Row i joins the group of the first row before it, in index order, that
+    leads a group and lies within tol of it; a row with no such leader leads
+    a new group.  So a chain a~b~c with a and c apart gives the two groups led
+    by a and c.  `tol` is a scalar or one tolerance per row, in which case the
+    leader's applies.  A row with a NaN is within tol of no row and leads its
+    own group.  Returns (keep, group): group[i] is the group of row i, numbered
+    by leader in index order, and keep[j] the row kept for group j, the leader
+    or, with `prefer`, the member of largest preference (the earliest on ties).
     """
     X = np.asarray(X, dtype=float)
-    tol = np.broadcast_to(np.asarray(tol, dtype=float), (len(X),))
+    tol = np.full(len(X), tol, dtype=float)
     group = np.empty(len(X), dtype=int)
-    free = np.arange(len(X))
-    leaders: list[int] = []
-    while len(free):
-        near = np.abs(X[free] - X[free[0]]).max(axis=1, initial=0.0) <= tol[free[0]]
-        # the leader joins its own group even when a NaN defeats the test
-        near[0] = True
-        group[free[near]] = len(leaders)
-        leaders.append(free[0])
-        free = free[~near]
+    leaders = np.zeros(0, dtype=int)
+    for start in range(0, len(X), _LEADER_BLOCK):
+        rows = np.arange(start, min(start + _LEADER_BLOCK, len(X)))
+        if len(leaders):
+            near = max_norm_distances(X[rows], X[leaders]) <= tol[leaders]
+            joined = near.any(axis=1)
+            group[rows[joined]] = near[joined].argmax(axis=1)
+            rows = rows[~joined]
+            if not len(rows):
+                continue
+        # near[j, i]: row i lies within tol of the earlier row j
+        Xb = X[rows]
+        near = max_norm_distances(Xb, Xb) <= tol[rows, None]
+        near &= _EARLIER[:len(rows), :len(rows)]
+        joined, first = near.any(axis=0), near.argmax(axis=0)
+        # first[i] = 0 for a row that joins no earlier row, and row 0 never joins
+        if joined[first].any():
+            # a chain: the first near row is itself taken, so scan in order
+            joined = np.zeros(len(rows), dtype=bool)
+            for j in range(len(rows)):
+                if not joined[j]:
+                    free = near[j] & ~joined
+                    first[free], joined[free] = j, True
+        lead = ~joined
+        ids = lead.cumsum() + (len(leaders) - 1)
+        group[rows] = np.where(joined, ids[first], ids)
+        leaders = np.concatenate([leaders, rows[lead]])
     if prefer is None:
-        return np.array(leaders, dtype=int), group
+        return leaders, group
     order = np.lexsort((-np.asarray(prefer, dtype=float), group))
     first = np.ones(len(order), dtype=bool)
     first[1:] = group[order[1:]] != group[order[:-1]]
@@ -487,7 +527,7 @@ def box_clip_volumes(P: Polytope, centers: np.ndarray, delta: np.ndarray) -> np.
         pts, keep = sols[rows, order], feas[rows, order]
         w = keep[..., None]
         tol = VERTEX_MERGE_TOL * np.maximum(1.0, np.abs(pts * w).max(axis=(1, 2), initial=0.0))
-        near = np.abs(pts[:, :, None] - pts[:, None]).max(axis=3) <= tol[:, None, None]
+        near = max_norm_distances(pts, pts) <= tol[:, None, None]
         near &= w & keep[:, None] & ~np.eye(pts.shape[1], dtype=bool)
         for j in np.flatnonzero(near.any(axis=(1, 2))):
             distinct = _distinct_vertices(pts[j][keep[j]])

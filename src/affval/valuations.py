@@ -21,7 +21,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import geometry
-from .errors import BadInput, BadParameter, BadTransform, EvalError, NotAValuation, NotConc, NotConvex
+from .errors import (BadInput, BadParameter, BadTransform, EvalError, NotAValuation, NotConc,
+                     NotConvex, NumericalLimit)
 from .funcs import ConvexFn, PAFn, PLQFn, QuadFn, QuadraticFn, join, meet
 from .geometry import AffineMap, Polytope, box, cube
 from .numerics import (FD_STEP_QUADRATURE, TAIL_EXPONENT_MAX, TAIL_SLOPE_MAX, TAIL_T,
@@ -256,7 +257,13 @@ def z_zeta_numeric(f, dom: Polytope, zeta: ConcFn, grid: int | None = None) -> f
         vals = np.asarray(eval_many(batch), dtype=float).reshape(len(pts), -1)
         if not np.all(np.isfinite(vals)):
             raise EvalError("non-finite sample inside the integration domain")
-        dets = np.maximum(np.linalg.det(_fd_hessians(vals, n, h)), 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            H = _fd_hessians(vals, n, h)
+            dets = np.linalg.det(H)
+        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(dets))):
+            raise NumericalLimit(f"values up to {np.abs(vals).max():.3g} in magnitude overflow "
+                                 f"the finite-difference Hessians of step {h:.3g}")
+        dets = np.maximum(dets, 0.0)
         integrand[safe] = zeta(dets)
         rest = covered & ~safe
         if rest.any():

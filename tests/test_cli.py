@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,8 @@ def test_cli_experiment_usc(tmp_path, capsys):
 
 SQUARE = {"type": "indicator", "domain": {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}}
 STAIRCASE = {"kind": "staircase", "s": 0, "a": 1, "r": 2, "ms": [1, 2]}
+HUGE_SLOPE = {"type": "pa", "pieces": [{"grad": [1e308, 0], "c": 0}],
+              "domain": SQUARE["domain"]}
 
 
 @pytest.mark.parametrize("argv, files, message", [
@@ -309,11 +312,21 @@ STAIRCASE = {"kind": "staircase", "s": 0, "a": 1, "r": 2, "ms": [1, 2]}
     (["zvalue", "F", "--zeta", "power:"], {}, "--zeta 'power:' is not power:P"),
     (["zvalue", "F", "--zeta", "power:1.5"], {}, "--zeta 'power:1.5' is not power:P"),
     (["zvalue", "F", "--zeta", "cbrt"], {}, "--zeta: unknown zeta spec 'cbrt'"),
+    # finite coefficients whose values overflow: an error naming the magnitude, no warning
+    (["conjugate", "--in", "F", "--out", "O"], {"F": HUGE_SLOPE, "O": {}},
+     "gradients up to 1e+308 and intercepts up to 0 in magnitude overflow"),
+    (["envelope", "F", "--lambda", "1", "--mu", "1", "--eval-grid", "G"],
+     {"F": HUGE_SLOPE, "G": {"points": [[0.5, 0.5]]}},
+     "gradients up to 1e+308 and intercepts up to 0 in magnitude overflow"),
+    (["zvalue", "F", "--zeta", "sqrt", "--numeric", "--grid", "32"], {"F": HUGE_SLOPE},
+     "values up to 9.85e+307 in magnitude overflow the finite-difference Hessian"),
 ])
 def test_cli_bad_input_names_itself(tmp_path, capsys, argv, files, message):
     paths = {"F": write(tmp_path, "F.json", SQUARE)}
     paths.update({k: write(tmp_path, k + ".json", v) for k, v in files.items()})
-    assert main([paths.get(a, a) for a in argv]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([paths.get(a, a) for a in argv]) == 2
     assert message in capsys.readouterr().err
 
 

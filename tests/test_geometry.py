@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from affval.errors import DimMismatch, EmptyInput, NumericalLimit, SingularMap
 from affval.geometry import (
     AffineMap,
+    _LEADER_BLOCK,
     _qhull,
     affine_image,
     box,
@@ -297,6 +298,58 @@ def test_near_duplicate_non_finite_rows_terminate():
     keep, group = near_duplicate_leaders(X, 1e-9)
     assert keep.tolist() == [0, 1, 2]
     assert group.tolist() == [0, 1, 2]
+
+
+def near_duplicate_leaders_by_scan(X, tol, prefer=None):
+    """The in-order scan that `near_duplicate_leaders` replaced, one loop
+    iteration per group: the oracle for its blocked pass."""
+    X = np.asarray(X, dtype=float)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (len(X),))
+    group = np.empty(len(X), dtype=int)
+    free = np.arange(len(X))
+    leaders: list[int] = []
+    while len(free):
+        near = np.abs(X[free] - X[free[0]]).max(axis=1, initial=0.0) <= tol[free[0]]
+        # the leader joins its own group even when a NaN defeats the test
+        near[0] = True
+        group[free[near]] = len(leaders)
+        leaders.append(free[0])
+        free = free[~near]
+    if prefer is None:
+        return np.array(leaders, dtype=int), group
+    order = np.lexsort((-np.asarray(prefer, dtype=float), group))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = group[order[1:]] != group[order[:-1]]
+    return order[first], group
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 * _LEADER_BLOCK + 1), st.integers(0, 3), st.integers(0, 2**32 - 1),
+       st.sampled_from(["ties", "jitter", "chain", "spread"]), st.booleans(), st.booleans(),
+       st.booleans())
+def test_near_duplicate_leaders_matches_scan(k, d, seed, layout, nan, per_row, prefer):
+    rng = np.random.default_rng(seed)
+    tol = 0.5
+    if layout == "chain":
+        # shuffled steps of 0.3-0.45 along a diagonal: a~b and b~c, a and c apart
+        X = np.cumsum(rng.uniform(0.3, 0.45, k))[rng.permutation(k), None] * np.ones(d)
+    elif layout == "spread":
+        X = rng.uniform(-3.0, 3.0, (k, d))
+    else:
+        # exact ties, some of them tol apart; or ties broken by up to 1e-12
+        X = 0.5 * rng.integers(-2, 3, (4, d))[rng.integers(0, 4, k)]
+        if layout == "jitter":
+            X += rng.uniform(-1e-12, 1e-12, X.shape)
+            tol = 1e-12
+    if nan and k and d:
+        X[rng.integers(0, k, 3), rng.integers(0, d)] = np.nan
+    if per_row:
+        tol = tol * rng.uniform(0.5, 1.5, k)
+    pref = rng.integers(0, 3, k).astype(float) if prefer else None
+    keep, group = near_duplicate_leaders(X, tol, prefer=pref)
+    keep_scan, group_scan = near_duplicate_leaders_by_scan(X, tol, prefer=pref)
+    assert np.array_equal(keep, keep_scan)
+    assert np.array_equal(group, group_scan)
 
 
 def test_hull_rejects_non_finite_points():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affval import generators
-from affval.errors import BadTransform, NotAValuation, NotConc
+from affval.errors import BadTransform, NotAValuation, NotConc, NumericalLimit
 from affval.funcs import AffineFn, PAFn, QuadFn, QuadraticFn, make_cylinder
 from affval.geometry import (AffineMap, box, box_clip_volumes, cube, from_halfspaces, hull, point,
                              segment)
@@ -140,6 +140,17 @@ def test_quadrature_on_triangle_domain():
     u = QuadFn(QuadraticFn(3.0 * np.eye(2), np.zeros(2), 0.0), tri)
     num = z_zeta_numeric(u, tri, SQ)
     assert num == pytest.approx(3.0 * tri.volume, rel=0.01)
+
+
+def test_quadrature_refuses_overflowing_hessians():
+    # finite Hessians of slope-1e200 kinks whose determinants overflow used to
+    # give Z = inf; a slope of 1e200 alone still gives the exact 0
+    sq = box([0.0, 0.0], [1.0, 1.0])
+    u = PAFn([AffineFn(np.array([1e200, 0.0]), 0.0), AffineFn(np.array([0.0, 1e200]), 0.0)], sq)
+    with pytest.raises(NumericalLimit, match="overflow the finite-difference Hessians"):
+        z_zeta_numeric(u, sq, SQ, grid=32)
+    assert z_zeta_numeric(PAFn([AffineFn(np.array([1e200, 0.0]), 0.0)], sq), sq, SQ,
+                          grid=32) == 0.0
 
 
 def clip_volumes_loop(P, centers, delta):
