@@ -535,25 +535,27 @@ def _activity_regions(G: np.ndarray, c: np.ndarray, P: Polytope) -> list[np.ndar
     m, k = len(Ad), len(Gz)
     zv = P.chart_vertices
     unit = min(1.0, P.diameter)
+    # rows [a, alpha, beta] of a.z + alpha t + beta <= 0: the facets of P, the pieces, the cap,
+    # in Qhull's frame: z = centre + half * w, t = cap + depth * s, unit rows
+    centre = zv.mean(axis=0)
+    half = np.abs(zv - centre).max(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         at_zv = zv @ Gz.T + cz
         top = at_zv.max()
         cap = top + scale_of(top, zv)
         depth = cap - at_zv.max(axis=1).min()
-    if not (np.isfinite(cap) and np.isfinite(depth)):
+        epigraph = np.column_stack([np.vstack([Ad, Gz, np.zeros(d)]),
+                                    np.concatenate([np.zeros(m), -np.ones(k), [1.0]]),
+                                    np.concatenate([-bd, cz, [-cap]])])
+        frame = np.column_stack([epigraph[:, :d] * half, epigraph[:, d] * depth,
+                                 epigraph[:, :d] @ centre + epigraph[:, d] * cap
+                                 + epigraph[:, -1]])
+        norms = np.linalg.norm(frame[:, :-1], axis=1)
+    # the frame holds the cap and the depth; its row norms square its entries
+    if not (np.all(np.isfinite(frame)) and np.all(np.isfinite(norms))):
         raise NumericalLimit(f"gradients up to {np.abs(G).max():.3g} and intercepts up to "
                              f"{np.abs(c).max():.3g} in magnitude overflow the activity "
                              f"subdivision of a domain reaching {scale_of(P.vertices):.3g}")
-    # rows [a, alpha, beta] of a.z + alpha t + beta <= 0: the facets of P, the pieces, the cap
-    epigraph = np.column_stack([np.vstack([Ad, Gz, np.zeros(d)]),
-                                np.concatenate([np.zeros(m), -np.ones(k), [1.0]]),
-                                np.concatenate([-bd, cz, [-cap]])])
-    # Qhull's frame: z = centre + half * w, t = cap + depth * s, unit rows
-    centre = zv.mean(axis=0)
-    half = np.abs(zv - centre).max(axis=0)
-    frame = np.column_stack([epigraph[:, :d] * half, epigraph[:, d] * depth,
-                             epigraph[:, :d] @ centre + epigraph[:, d] * cap + epigraph[:, -1]])
-    norms = np.linalg.norm(frame[:, :-1], axis=1)
     frame /= norms[:, None]
     interior = np.append(np.zeros(d), 0.5 * ((Gz @ centre + cz).max() - cap) / depth)
     verts = geometry.halfspace_vertices(frame, interior)
@@ -876,7 +878,8 @@ def certify_plq(cells, domain: Polytope | None = None) -> PLQFn:
 
     Only pairs whose bounding boxes meet within FEAS_TOL of the coordinate
     scale are intersected (in `itertools.combinations` order): cells further
-    apart share no facet and no interior, so they could add no check.
+    apart share no facet and no interior, so they could add no check.  Their
+    intersections are enumerated up front, by `_cell_pair_vertices`.
     """
     cs = [(P, q) for P, q in cells if not P.is_degenerate]
     if not cs:
@@ -893,11 +896,12 @@ def certify_plq(cells, domain: Polytope | None = None) -> PLQFn:
     lo, hi = (np.array([P.bbox[k] for P, _ in cs]) for k in (0, 1))
     below = np.all(lo[:, None] <= hi[None] + FEAS_TOL * scale_of(lo, hi), axis=2)
     facet_checks = []
-    for i, j in zip(*(k.tolist() for k in np.nonzero(np.triu(below & below.T, k=1)))):
-        (Pi, qi), (Pj, qj) = cs[i], cs[j]
-        R = intersect(Pi, Pj)
-        if R is None:
+    pairs = list(zip(*(k.tolist() for k in np.nonzero(np.triu(below & below.T, k=1)))))
+    for (i, j), verts in zip(pairs, _cell_pair_vertices([P for P, _ in cs], pairs)):
+        if not len(verts):
             continue
+        (Pi, qi), (Pj, qj) = cs[i], cs[j]
+        R = hull(verts)
         if R.intrinsic_dim == n:
             if R.volume > OVERLAP_TOL * (1.0 + min(Pi.volume, Pj.volume)):
                 raise NotConvex(f"cells {i} and {j} have overlapping interiors")
@@ -921,6 +925,22 @@ def certify_plq(cells, domain: Polytope | None = None) -> PLQFn:
                 f"gradient jump {mono:.3e} against the facet normal of cells {i},{j}")
         facet_checks.append((i, j, cont, mono))
     return PLQFn(cs, dom, certificate=tuple(facet_checks))
+
+
+def _cell_pair_vertices(cells: list[Polytope], pairs) -> list[np.ndarray]:
+    """For each pair (i, j), the vertices of cells[i] meet cells[j] that
+    `intersect` hulls: `vertices_from_halfspaces` of their stacked rows, with
+    its bits, from one batched enumeration per total row count."""
+    H = [P.halfspaces for P in cells]
+    rows = np.array([len(H[i][1]) + len(H[j][1]) for i, j in pairs], dtype=int)
+    out: list[np.ndarray] = [np.zeros((0, 0))] * len(pairs)
+    for m in np.unique(rows):
+        at = np.flatnonzero(rows == m)
+        A = np.stack([np.vstack([H[pairs[k][0]][0], H[pairs[k][1]][0]]) for k in at])
+        b = np.stack([np.concatenate([H[pairs[k][0]][1], H[pairs[k][1]][1]]) for k in at])
+        for k, verts in zip(at, geometry.vertices_from_halfspace_systems(A, b, cells[0].dim)):
+            out[k] = verts
+    return out
 
 
 def _facet_samples(R: Polytope) -> np.ndarray:

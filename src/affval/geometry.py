@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
@@ -462,22 +462,44 @@ def point(p) -> Polytope:
 # -- operations ----------------------------------------------------------------
 
 
-def _basic_solutions(A: np.ndarray, B: np.ndarray, dim: int, unit: float = 1.0):
-    """Basic solutions of {x : A x <= B[:, j]} for each of the k columns of B,
-    from one enumeration of the nonsingular bases of A: (sols, feas) of shapes
-    (k, bases, dim) and (k, bases), feas marking solutions feasible within
-    FEAS_TOL of their scale, max(unit, |x|)."""
-    m, k = B.shape
+# float64 entries of one batch's largest temporary: about 1 MB
+_BATCH_FLOATS = 1 << 17
+
+
+def _batches(count: int, per_system: int):
+    """Slices of `count` systems, each holding about _BATCH_FLOATS entries
+    of temporaries at `per_system` entries per system."""
+    step = max(_BATCH_FLOATS // max(per_system, 1), 1)
+    return (slice(i, min(i + step, count)) for i in range(0, count, step))
+
+
+@lru_cache(maxsize=None)
+def _bases(m: int, dim: int) -> np.ndarray:
+    """The dim-row subsets of m rows, in `itertools.combinations` order."""
     combos = np.array(list(itertools.combinations(range(m), dim)), dtype=int).reshape(-1, dim)
-    mats = A[combos]
+    combos.setflags(write=False)
+    return combos
+
+
+def _basic_solutions(A: np.ndarray, b: np.ndarray, dim: int, unit: float = 1.0):
+    """Basic solutions of each system {x : A[s] x <= b[s]}, A and b of shapes
+    (S, m, dim) and (S, m), from one enumeration of the dim-row bases:
+    (sols, feas) of shapes (S, bases, dim) and (S, bases), feas marking the
+    nonsingular bases whose solution is feasible within FEAS_TOL of its
+    scale, max(unit, |x|).  One right-hand side per solve and residuals
+    summed column by column, so that a system has the bits it has alone."""
+    combos = _bases(b.shape[1], dim)
+    mats = A[:, combos]
     dets = np.abs(np.linalg.det(mats))
-    row_scale = np.maximum(np.linalg.norm(mats, axis=2).prod(axis=1), NORM_FLOOR)
+    row_scale = np.maximum(np.linalg.norm(A, axis=-1)[:, combos].prod(axis=-1), NORM_FLOOR)
     ok = dets > BASIS_TOL * row_scale
-    # one right-hand side per solve, so that a batch repeats the bits of k = 1
-    sols = np.linalg.solve(mats[ok], B[combos[ok]].transpose(2, 0, 1)[..., None])[..., 0]
+    sols = np.zeros(ok.shape + (dim,))
+    sols[ok] = np.linalg.solve(mats[ok], b[:, combos][ok][..., None])[..., 0]
     scale = np.maximum(unit, np.abs(sols).max(axis=2))
-    resid = (sols.reshape(-1, dim) @ A.T).reshape(k, -1, m) - B.T[:, None, :]
-    return sols, np.all(resid <= (FEAS_TOL * scale)[..., None], axis=2)
+    resid = -b[:, None, :]
+    for j in range(dim):
+        resid = resid + sols[:, :, j, None] * A[:, None, :, j]
+    return sols, ok & np.all(resid <= (FEAS_TOL * scale)[..., None], axis=2)
 
 
 def _distinct_vertices(pts: np.ndarray, unit: float = 1.0) -> np.ndarray:
@@ -485,6 +507,35 @@ def _distinct_vertices(pts: np.ndarray, unit: float = 1.0) -> np.ndarray:
     VERTEX_MERGE_TOL of their scale, max(unit, |x|)."""
     pts = _lex_sorted(pts)
     return pts[near_duplicate_leaders(pts, VERTEX_MERGE_TOL * scale_of(pts, floor=unit))[0]]
+
+
+def _feasible_first(sols: np.ndarray, feas: np.ndarray, unit: float = 1.0):
+    """Each system's feasible basic solutions first, in basis order: (pts,
+    keep, near) with pts and keep of shapes (S, K, dim) and (S, K), K the
+    most feasible solutions of a system, and near marking the systems with
+    two of them within VERTEX_MERGE_TOL of their scale, max(unit, |x|), the
+    only ones whose `_distinct_vertices` are not all of them."""
+    order = np.argsort(~feas, axis=1, kind="stable")[:, :feas.sum(axis=1).max(initial=0)]
+    rows = np.arange(len(feas))[:, None]
+    pts, keep = sols[rows, order], feas[rows, order]
+    w = keep[..., None]
+    tol = VERTEX_MERGE_TOL * np.maximum(unit, np.abs(pts * w).max(axis=(1, 2), initial=0.0))
+    near = max_norm_distances(pts, pts) <= tol[:, None, None]
+    near &= w & keep[:, None] & ~np.eye(pts.shape[1], dtype=bool)
+    return pts, keep, near.any(axis=(1, 2))
+
+
+def vertices_from_halfspace_systems(A: np.ndarray, b: np.ndarray, dim: int, *,
+                                    unit: float = 1.0) -> list[np.ndarray]:
+    """`vertices_from_halfspaces` of each system (A[s], b[s]), A and b of
+    shapes (S, m, dim) and (S, m), with the same bits: the systems share one
+    basis enumeration, in batches of about 1 MB of temporaries."""
+    out = []
+    for part in _batches(len(b), len(_bases(b.shape[1], dim)) * max(b.shape[1], dim * dim)):
+        pts, keep, near = _feasible_first(*_basic_solutions(A[part], b[part], dim, unit), unit)
+        out.extend(_distinct_vertices(p[k], unit) if merge else _lex_sorted(p[k])
+                   for p, k, merge in zip(pts, keep, near))
+    return out
 
 
 def vertices_from_halfspaces(A: np.ndarray, b: np.ndarray, dim: int, *,
@@ -497,47 +548,113 @@ def vertices_from_halfspaces(A: np.ndarray, b: np.ndarray, dim: int, *,
     relative on regions smaller than unit scale.
     """
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
-    sols, feas = _basic_solutions(A, b[:, None], dim, unit)
+    sols, feas = _basic_solutions(A[None], b[None], dim, unit)
     return _distinct_vertices(sols[0][feas[0]], unit)
+
+
+def _facet_contents(u: np.ndarray, pts: np.ndarray, tight: np.ndarray) -> np.ndarray:
+    """(n-1)-content of the hull of the points tight on each unit-normal row:
+    u, pts and tight of shapes (S, m, n), (S, K, n) and (S, m, K).  In 2-D
+    the extent of the tight points along the edge; in 3-D the shoelace area
+    of the tight points sorted by angle about their mean in the facet plane."""
+    n = u.shape[-1]
+    if n == 2:
+        along = np.einsum("smd,skd->smk", np.stack([-u[..., 1], u[..., 0]], axis=-1), pts)
+        extent = (np.where(tight, along, -np.inf).max(axis=2)
+                  - np.where(tight, along, np.inf).min(axis=2))
+        return np.where(tight.any(axis=2), extent, 0.0)
+    # an orthonormal frame (e1, e2) of each facet plane
+    axis = np.eye(3)[np.abs(u).argmin(axis=-1)]
+    e1 = np.cross(u, axis)
+    e1 /= np.linalg.norm(e1, axis=-1)[..., None]
+    e2 = np.cross(u, e1)
+    count = np.maximum(tight.sum(axis=2), 1)[..., None]
+    mean = np.einsum("smk,skd->smd", tight.astype(float), pts) / count
+    rel = pts[:, None] - mean[:, :, None]
+    x, y = np.einsum("smkd,smd->smk", rel, e1), np.einsum("smkd,smd->smk", rel, e2)
+    order = np.argsort(np.where(tight, np.arctan2(y, x), np.inf), axis=2)
+    x, y = np.take_along_axis(x, order, axis=2), np.take_along_axis(y, order, axis=2)
+    # the points that are not tight sort last; repeating the first tight
+    # point in their place closes the polygon with zero-area terms
+    last = np.take_along_axis(tight, order, axis=2)
+    x, y = np.where(last, x, x[..., :1]), np.where(last, y, y[..., :1])
+    cross = x * np.roll(y, -1, axis=2) - y * np.roll(x, -1, axis=2)
+    return 0.5 * np.abs(cross.sum(axis=2))
+
+
+def _clip_contents(A: np.ndarray, b: np.ndarray, pts: np.ndarray, keep: np.ndarray,
+                   mean: np.ndarray) -> np.ndarray:
+    """Content of each full-dimensional polytope {x : A[s] x <= b[s]} from
+    its distinct vertices pts[s][keep[s]] by the divergence theorem:
+    (1/n) sum_f dist(mean, f) * content(f) over its facets f.
+
+    A row is tight at the vertices within VERTEX_MERGE_TOL of their scale,
+    the tolerance within which vertices merge.  Two facets share at most n - 1
+    vertices, so rows with normals on the same side that share n tight
+    vertices lie on one plane (a facet of P on a box face, or a facet of P
+    within the tolerance of one): the first of them counts once, with the
+    union of their tight vertices.
+    """
+    n = A.shape[-1]
+    if n == 1:
+        return (np.where(keep, pts[..., 0], -np.inf).max(axis=1)
+                - np.where(keep, pts[..., 0], np.inf).min(axis=1))
+    norms = np.linalg.norm(A, axis=-1)
+    u, beta = A / norms[..., None], b / norms
+    tol = VERTEX_MERGE_TOL * np.maximum(1.0, np.abs(pts * keep[..., None]).max(axis=(1, 2)))
+    tight = np.abs(np.einsum("smd,skd->smk", u, pts) - beta[..., None]) <= tol[:, None, None]
+    tight &= keep[:, None]
+    weight = tight.astype(float)
+    plane = ((np.einsum("smk,slk->sml", weight, weight) >= n)
+             & (np.einsum("smd,sld->sml", u, u) > 0))
+    first = ~(plane & np.tri(A.shape[1], k=-1, dtype=bool)).any(axis=2)
+    tight = np.einsum("sml,slk->smk", plane.astype(float), weight) > 0
+    height = beta - np.einsum("smd,sd->sm", u, mean)
+    contents = np.where(first, height * _facet_contents(u, pts, tight), 0.0)
+    return contents.sum(axis=1) / n
 
 
 def box_clip_volumes(P: Polytope, centers: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Volumes of P intersected with each box centers[j] +/- delta / 2.
 
     A box is clipped only by the facets of P that cut it, a.c + |a|.delta/2 > b:
-    the others hold on the whole box.  Boxes cut by the same facets share one
-    basis enumeration of [A_S; I; -I].  A clip counts 0 when its distinct
-    vertices fail the rank test of `Polytope.is_degenerate`.
+    the others hold on the whole box.  Boxes cut by the same number of facets
+    share one basis enumeration of their systems [A_cut; I; -I], in batches
+    of about 1 MB of temporaries.  A clip counts 0 when its distinct vertices
+    fail the rank test of `Polytope.is_degenerate`; otherwise its volume comes
+    from its facets by the divergence theorem (`_clip_contents`), with no
+    Qhull call.
     """
     n = P.dim
     A, b = P.halfspaces
     out = np.zeros(len(centers))
     cut = centers @ A.T + np.abs(A) @ (delta / 2) > b
-    patterns, group = np.unique(cut, axis=0, return_inverse=True)
-    for g, pattern in enumerate(patterns):
-        members = np.flatnonzero(group.ravel() == g)
-        c = centers[members]
-        offs = np.vstack([np.repeat(b[pattern][:, None], len(c), axis=1),
-                          (c + delta / 2).T, -(c - delta / 2).T])
-        sols, feas = _basic_solutions(np.vstack([A[pattern], np.eye(n), -np.eye(n)]), offs, n)
-        # each box's feasible solutions first; boxes with two of them within
-        # the merge tolerance go through _distinct_vertices, the others keep all
-        order = np.argsort(~feas, axis=1, kind="stable")[:, :feas.sum(axis=1).max(initial=0)]
-        rows = np.arange(len(c))[:, None]
-        pts, keep = sols[rows, order], feas[rows, order]
-        w = keep[..., None]
-        tol = VERTEX_MERGE_TOL * np.maximum(1.0, np.abs(pts * w).max(axis=(1, 2), initial=0.0))
-        near = max_norm_distances(pts, pts) <= tol[:, None, None]
-        near &= w & keep[:, None] & ~np.eye(pts.shape[1], dtype=bool)
-        for j in np.flatnonzero(near.any(axis=(1, 2))):
-            distinct = _distinct_vertices(pts[j][keep[j]])
-            pts[j, :len(distinct)], keep[j] = distinct, np.arange(len(keep[j])) < len(distinct)
-        # the rank test of _affine_chart, for every box in one batched SVD
-        mean = (pts * w).sum(axis=1) / np.maximum(keep.sum(axis=1), 1)[:, None]
-        s = np.linalg.svd((pts - mean[:, None]) * w, compute_uv=False)
-        rank = np.sum(s > EPS_GEOM * np.maximum(1.0, s.max(axis=1, initial=0.0))[:, None], axis=1)
-        for j in np.flatnonzero(rank == n):
-            out[members[j]] = _content(_lex_sorted(pts[j][keep[j]]))
+    counts = cut.sum(axis=1)
+    box_A = np.vstack([np.eye(n), -np.eye(n)])
+    for q in np.unique(counts):
+        members = np.flatnonzero(counts == q)
+        m = q + 2 * n
+        for part in _batches(len(members), len(_bases(m, n)) * max(m, n * n)):
+            boxes = members[part]
+            c = centers[boxes]
+            facets = np.nonzero(cut[boxes])[1].reshape(len(boxes), q)
+            rows_A = np.concatenate([A[facets], np.broadcast_to(box_A, (len(boxes), 2 * n, n))],
+                                    axis=1)
+            rows_b = np.concatenate([b[facets], c + delta / 2, -(c - delta / 2)], axis=1)
+            pts, keep, near = _feasible_first(*_basic_solutions(rows_A, rows_b, n))
+            for j in np.flatnonzero(near):
+                distinct = _distinct_vertices(pts[j][keep[j]])
+                pts[j, :len(distinct)], keep[j] = distinct, np.arange(len(keep[j])) < len(distinct)
+            # the rank test of _affine_chart, for every box in one batched SVD
+            w = keep[..., None]
+            mean = (pts * w).sum(axis=1) / np.maximum(keep.sum(axis=1), 1)[:, None]
+            s = np.linalg.svd((pts - mean[:, None]) * w, compute_uv=False)
+            rank = np.sum(s > EPS_GEOM * np.maximum(1.0, s.max(axis=1, initial=0.0))[:, None],
+                          axis=1)
+            full = rank == n
+            if full.any():
+                out[boxes[full]] = _clip_contents(rows_A[full], rows_b[full], pts[full],
+                                                  keep[full], mean[full])
     return out
 
 

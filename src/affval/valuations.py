@@ -216,8 +216,10 @@ def z_zeta_numeric(f, dom: Polytope, zeta: ConcFn, grid: int | None = None) -> f
 
     Hessians use central differences with step h = FD_STEP_QUADRATURE times
     the domain diameter.  Cells crossing the boundary are clipped, by the
-    facets that cut them only, to their exact intersection volume; midpoints
-    within 2h of the boundary take the integrand of the nearest safe one.
+    facets that cut them only, to their exact intersection volume, computed
+    in batches by `geometry.box_clip_volumes` from the facets of each clip;
+    midpoints within 2h of the boundary take the integrand of the nearest
+    safe one.
 
     The estimator never looks at the cell structure of the input, so its
     error on piecewise inputs is the usual midpoint-rule O(spacing) band

@@ -264,6 +264,12 @@ HUGE_SLOPE = {"type": "pa", "pieces": [{"grad": [1e308, 0], "c": 0}],
               "domain": SQUARE["domain"]}
 
 
+def _crossed_slopes(g):
+    """Pieces [g, 0] and [0, g] on the unit square."""
+    return {"type": "pa", "pieces": [{"grad": [g, 0], "c": 0}, {"grad": [0, g], "c": 0}],
+            "domain": SQUARE["domain"]}
+
+
 @pytest.mark.parametrize("argv, files, message", [
     (["eval", "F", "--point", "0.5"], {}, "--point has 1 coordinates, the function has dimension 2"),
     (["envelope", "F", "--lambda", "1", "--mu", "1", "--eval-grid", "G"],
@@ -320,6 +326,11 @@ HUGE_SLOPE = {"type": "pa", "pieces": [{"grad": [1e308, 0], "c": 0}],
      "gradients up to 1e+308 and intercepts up to 0 in magnitude overflow"),
     (["zvalue", "F", "--zeta", "sqrt", "--numeric", "--grid", "32"], {"F": HUGE_SLOPE},
      "values up to 9.85e+307 in magnitude overflow the finite-difference Hessian"),
+    # finite caps whose Qhull frame rows overflow their norms
+    (["conjugate", "--in", "F", "--out", "O"], {"F": _crossed_slopes(1e200), "O": {}},
+     "gradients up to 1e+200 and intercepts up to 0 in magnitude overflow"),
+    (["conjugate", "--in", "F", "--out", "O"], {"F": _crossed_slopes(1e307), "O": {}},
+     "gradients up to 1e+307 and intercepts up to 0 in magnitude overflow"),
 ])
 def test_cli_bad_input_names_itself(tmp_path, capsys, argv, files, message):
     paths = {"F": write(tmp_path, "F.json", SQUARE)}
@@ -328,6 +339,16 @@ def test_cli_bad_input_names_itself(tmp_path, capsys, argv, files, message):
         warnings.simplefilter("error")
         assert main([paths.get(a, a) for a in argv]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_conjugate_of_large_crossed_slopes(tmp_path):
+    # below the overflow of the frame rows the conjugate is still computed
+    src, dst = write(tmp_path, "F.json", _crossed_slopes(1e150)), str(tmp_path / "O.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = _run(["conjugate", "--in", src, "--out", dst])
+    assert (code, err) == (0, "")
+    jsonio.load_function(dst)
 
 
 def test_cli_infconv(tmp_path, capsys):
@@ -502,6 +523,31 @@ def test_cli_ma_numeric_fuzz(doc):
         assert set(out) == {"atoms", "total", "dual_volume"}
 
     _exits_cleanly(["ma", "{u}"], {"u": doc}, load)
+
+
+@st.composite
+def _compact_plq_documents(draw):
+    """One-cell PLQ functions: a diagonal PSD quadratic with such entries on
+    a domain of scale 1e-8 to 1e8."""
+    n = draw(st.integers(1, 3))
+    domain = draw(_compact_pa_documents(n))["domain"]
+    cell = {"poly": domain, "A": np.diag(np.abs(_numbers(draw, n))).tolist(),
+            "b": _numbers(draw, n).tolist(), "c": float(_numbers(draw, 1)[0])}
+    return {"type": "plq", "cells": [cell]}
+
+
+def _finite_z_zeta(text, _):
+    z = json.loads(text)["z_zeta"]
+    assert isinstance(z, (int, float)) and np.isfinite(z), z
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(_compact_pa_documents(), _compact_plq_documents()),
+       st.sampled_from(["sqrt", "power:0.3"]), st.integers(2, 16))
+def test_cli_zvalue_numeric_fuzz(doc, zeta, grid):
+    # quadrature, boundary clips included: a finite Z_zeta, or exit 2 with a message
+    _exits_cleanly(["zvalue", "{u}", "--zeta", zeta, "--numeric", "--grid", str(grid)],
+                   {"u": doc}, _finite_z_zeta)
 
 
 # Draws of _compact_pa_documents whose activity subdivision Qhull cannot

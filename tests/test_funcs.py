@@ -16,6 +16,7 @@ from affval.funcs import (
     QuadFn,
     QuadraticFn,
     _activity_regions,
+    _cell_pair_vertices,
     _dedupe_pieces,
     _facet_normal,
     _facet_samples,
@@ -349,6 +350,30 @@ def test_certify_plq_matches_all_pairs(case):
     assert all(type(i) is int and type(j) is int for i, j, _, _ in got)
     # tiles that share a facet are found; in 3-d some pairs meet in less
     assert len(want) >= len(cells) - 1
+
+
+def _pair_vertex_cases():
+    """Cell lists: the certify cases (2-d and 3-d staircases among them) and
+    the two boxes and the meet of `generators.meet_pair_plq` pairs."""
+    rng = np.random.default_rng(17)
+    cases = [[P for P, _ in cells] for cells, _ in _certify_cases()]
+    for n in (1, 2, 3):
+        for _ in range(2):
+            u, v = generators.meet_pair_plq(rng, n)
+            cases += [[u.domain, v.domain], [P for P, _ in meet(u, v).cells]]
+    return cases
+
+
+def test_cell_pair_vertices_match_per_pair_enumeration():
+    # the batched enumeration has the bits of one enumeration per pair
+    for cells in _pair_vertex_cases():
+        pairs = list(itertools.combinations(range(len(cells)), 2))
+        got = _cell_pair_vertices(cells, pairs)
+        for (i, j), verts in zip(pairs, got):
+            (Ai, bi), (Aj, bj) = cells[i].halfspaces, cells[j].halfspaces
+            want = vertices_from_halfspaces(np.vstack([Ai, Aj]), np.concatenate([bi, bj]),
+                                            cells[0].dim)
+            assert np.array_equal(verts, want), (i, j)
 
 
 # -- activity regions and cells ----------------------------------------------

@@ -191,10 +191,13 @@ def _clip_cases():
         # passes through box corners, so boxes outside it touch it at a
         # corner or an edge
         cases.append((hull(np.vstack([np.zeros(n), np.eye(n)])), 8 if n < 3 else 4, 0.0))
+    # a 3-d polytope with many small facets on a coarse grid: boxes cut by 4 to 10 facets
+    pts = rng.normal(size=(10, 3))
+    cases.append((hull(pts / np.linalg.norm(pts, axis=1)[:, None]), 3, 0.3))
     return cases
 
 
-@pytest.mark.parametrize("case", range(9))
+@pytest.mark.parametrize("case", range(10))
 def test_box_clip_volumes_match_per_box_loop(case):
     P, grid, shift = _clip_cases()[case]
     centers, delta = _grid_boxes(P, grid, shift)
@@ -205,6 +208,63 @@ def test_box_clip_volumes_match_per_box_loop(case):
     # boxes outside, inside and (but on the 1-d aligned grid) cut by P all occur
     assert 0 < np.count_nonzero(batch) < len(batch)
     assert (P.dim == 1 and shift == 0) or np.any((batch > 0) & (batch < 0.999 * np.prod(delta)))
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_box_clip_volumes_sum_to_the_volume(case):
+    # boxes that tile a neighbourhood of P: the clips partition P exactly
+    P, grid, shift = _clip_cases()[case]
+    centers, delta = _grid_boxes(P, grid, shift)
+    assert box_clip_volumes(P, centers, delta).sum() == pytest.approx(P.volume, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_box_clip_volumes_count_a_facet_on_a_box_face_once(n):
+    # the unit cube less a corner, and boxes whose +x_0 face lies an ulp
+    # beyond P's facet x_0 <= 1: the facet cuts them, and both rows bound
+    # each clip on one plane
+    eye = np.eye(n)
+    P = from_halfspaces(np.vstack([eye, -eye, np.ones(n)]),
+                        np.concatenate([np.ones(n), np.zeros(n), [n - 0.5]]), n)
+    c0 = 0.95
+    while c0 + 0.05 <= 1.0:
+        c0 = np.nextafter(c0, 1.0)
+    axes = [np.array([c0])] + [0.05 + 0.1 * np.arange(10)] * (n - 1)
+    centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    delta = np.full(n, 0.1)
+    A, b = P.halfspaces
+    on_face = np.flatnonzero(np.isclose(A[:, 0], 1.0) & np.isclose(b, 1.0))
+    assert len(on_face) == 1
+    assert np.all(centers @ A[on_face[0]] + 0.05 * np.abs(A[on_face[0]]).sum() > b[on_face[0]])
+    batch = box_clip_volumes(P, centers, delta)
+    loop = clip_volumes_loop(P, centers, delta)
+    assert np.count_nonzero(batch > 0.99 * np.prod(delta)) > 1
+    assert np.all(np.abs(batch - loop) <= 1e-12 * np.prod(delta))
+
+
+@pytest.mark.parametrize("slope", [7e-8, 1.2e-7, 7e-7])
+def test_box_clip_volumes_of_a_facet_within_the_merge_tolerance_of_a_box_face(slope):
+    # z >= slope * (x + y) rises through the merge tolerance over one box:
+    # the facet and the box's bottom face share some tight vertices but not
+    # all, and count once
+    eye = np.eye(3)
+    P = from_halfspaces(np.vstack([eye, -eye, [slope, slope, -1.0]]),
+                        np.concatenate([np.ones(3), np.zeros(4)]), 3)
+    axis = 0.05 + 0.1 * np.arange(10)
+    centers = np.stack(np.meshgrid(axis, axis, [0.05], indexing="ij"), axis=-1).reshape(-1, 3)
+    delta = np.full(3, 0.1)
+    batch = box_clip_volumes(P, centers, delta)
+    loop = clip_volumes_loop(P, centers, delta)
+    # vertices are resolved to VERTEX_MERGE_TOL = 1e-7, a double count is 8%
+    assert np.all(np.abs(batch - loop) <= 1e-5 * np.prod(delta))
+
+
+def test_box_clip_cases_cut_boxes_by_many_facets():
+    P, grid, shift = _clip_cases()[-1]
+    centers, delta = _grid_boxes(P, grid, shift)
+    A, b = P.halfspaces
+    cuts = (centers @ A.T + np.abs(A) @ (delta / 2) > b).sum(axis=1)
+    assert np.count_nonzero(cuts >= 4) >= 100 and cuts.max() >= 8
 
 
 # -- the full valuation -------------------------------------------------------
