@@ -509,32 +509,16 @@ def _distinct_vertices(pts: np.ndarray, unit: float = 1.0) -> np.ndarray:
     return pts[near_duplicate_leaders(pts, VERTEX_MERGE_TOL * scale_of(pts, floor=unit))[0]]
 
 
-def _feasible_first(sols: np.ndarray, feas: np.ndarray, unit: float = 1.0):
-    """Each system's feasible basic solutions first, in basis order: (pts,
-    keep, near) with pts and keep of shapes (S, K, dim) and (S, K), K the
-    most feasible solutions of a system, and near marking the systems with
-    two of them within VERTEX_MERGE_TOL of their scale, max(unit, |x|), the
-    only ones whose `_distinct_vertices` are not all of them."""
-    order = np.argsort(~feas, axis=1, kind="stable")[:, :feas.sum(axis=1).max(initial=0)]
-    rows = np.arange(len(feas))[:, None]
-    pts, keep = sols[rows, order], feas[rows, order]
-    w = keep[..., None]
-    tol = VERTEX_MERGE_TOL * np.maximum(unit, np.abs(pts * w).max(axis=(1, 2), initial=0.0))
-    near = max_norm_distances(pts, pts) <= tol[:, None, None]
-    near &= w & keep[:, None] & ~np.eye(pts.shape[1], dtype=bool)
-    return pts, keep, near.any(axis=(1, 2))
-
-
 def vertices_from_halfspace_systems(A: np.ndarray, b: np.ndarray, dim: int, *,
                                     unit: float = 1.0) -> list[np.ndarray]:
     """`vertices_from_halfspaces` of each system (A[s], b[s]), A and b of
-    shapes (S, m, dim) and (S, m), with the same bits: the systems share one
-    basis enumeration, in batches of about 1 MB of temporaries."""
+    shapes (S, m, dim) and (S, m): the systems share one basis enumeration,
+    in batches of about 1 MB of temporaries, and each keeps the bits it has
+    alone."""
     out = []
     for part in _batches(len(b), len(_bases(b.shape[1], dim)) * max(b.shape[1], dim * dim)):
-        pts, keep, near = _feasible_first(*_basic_solutions(A[part], b[part], dim, unit), unit)
-        out.extend(_distinct_vertices(p[k], unit) if merge else _lex_sorted(p[k])
-                   for p, k, merge in zip(pts, keep, near))
+        sols, feas = _basic_solutions(A[part], b[part], dim, unit)
+        out.extend(_distinct_vertices(x[f], unit) for x, f in zip(sols, feas))
     return out
 
 
@@ -548,70 +532,87 @@ def vertices_from_halfspaces(A: np.ndarray, b: np.ndarray, dim: int, *,
     relative on regions smaller than unit scale.
     """
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
-    sols, feas = _basic_solutions(A[None], b[None], dim, unit)
-    return _distinct_vertices(sols[0][feas[0]], unit)
+    return vertices_from_halfspace_systems(A[None], b[None], dim, unit=unit)[0]
 
 
-def _facet_contents(u: np.ndarray, pts: np.ndarray, tight: np.ndarray) -> np.ndarray:
-    """(n-1)-content of the hull of the points tight on each unit-normal row:
-    u, pts and tight of shapes (S, m, n), (S, K, n) and (S, m, K).  In 2-D
-    the extent of the tight points along the edge; in 3-D the shoelace area
-    of the tight points sorted by angle about their mean in the facet plane."""
-    n = u.shape[-1]
-    if n == 2:
-        along = np.einsum("smd,skd->smk", np.stack([-u[..., 1], u[..., 0]], axis=-1), pts)
-        extent = (np.where(tight, along, -np.inf).max(axis=2)
-                  - np.where(tight, along, np.inf).min(axis=2))
-        return np.where(tight.any(axis=2), extent, 0.0)
-    # an orthonormal frame (e1, e2) of each facet plane
-    axis = np.eye(3)[np.abs(u).argmin(axis=-1)]
-    e1 = np.cross(u, axis)
-    e1 /= np.linalg.norm(e1, axis=-1)[..., None]
-    e2 = np.cross(u, e1)
-    count = np.maximum(tight.sum(axis=2), 1)[..., None]
-    mean = np.einsum("smk,skd->smd", tight.astype(float), pts) / count
-    rel = pts[:, None] - mean[:, :, None]
-    x, y = np.einsum("smkd,smd->smk", rel, e1), np.einsum("smkd,smd->smk", rel, e2)
-    order = np.argsort(np.where(tight, np.arctan2(y, x), np.inf), axis=2)
-    x, y = np.take_along_axis(x, order, axis=2), np.take_along_axis(y, order, axis=2)
-    # the points that are not tight sort last; repeating the first tight
-    # point in their place closes the polygon with zero-area terms
-    last = np.take_along_axis(tight, order, axis=2)
-    x, y = np.where(last, x, x[..., :1]), np.where(last, y, y[..., :1])
-    cross = x * np.roll(y, -1, axis=2) - y * np.roll(x, -1, axis=2)
-    return 0.5 * np.abs(cross.sum(axis=2))
+def _parallel_cuts(parallel: np.ndarray, s: np.ndarray, c: np.ndarray, tol: np.ndarray):
+    """What the rows k parallel to a line (or plane) g do to it, over the
+    last two axes (g, k), with s[g, k] the slack of k on g and c the cosine
+    of their normals: (gone, lost).  g is lost when an earlier k with the
+    same outward side (c > 0) lies on it within tol, and gone when it is
+    lost or some k holds nowhere on it.  Each pair is decided from s and its
+    transpose together, so that g and k agree."""
+    D, E = s - np.swapaxes(s, -1, -2), s + np.swapaxes(s, -1, -2)
+    tol = 2.0 * tol[(...,) + (None,) * (s.ndim - tol.ndim)]
+    same = c > 0
+    lost = (parallel & same & (np.abs(D) <= tol) & np.tri(s.shape[-1], k=-1, dtype=bool)).any(-1)
+    cut = (parallel & np.where(same, D < -tol, E < -tol)).any(axis=-1)
+    return cut | lost, lost
 
 
-def _clip_contents(A: np.ndarray, b: np.ndarray, pts: np.ndarray, keep: np.ndarray,
-                   mean: np.ndarray) -> np.ndarray:
-    """Content of each full-dimensional polytope {x : A[s] x <= b[s]} from
-    its distinct vertices pts[s][keep[s]] by the divergence theorem:
-    (1/n) sum_f dist(mean, f) * content(f) over its facets f.
+def _segment_lengths(a: np.ndarray, s: np.ndarray, c: np.ndarray, tol: np.ndarray,
+                     live: np.ndarray | bool = True) -> np.ndarray:
+    """Length of {t : a[g, k] t <= s[g, k] for every live k} on each line g,
+    over the last two axes (g, k), a antisymmetric in them.  A row parallel
+    to the line (|a| <= EPS_GEOM) holds on all of it or on none of it
+    (`_parallel_cuts`).  Of the rows on one line only the first counts: the
+    others have no segment and bound no other line."""
+    parallel = np.abs(a) <= EPS_GEOM
+    gone, lost = _parallel_cuts(live & parallel, s, c, tol)
+    live = live & ~lost[..., None, :] & ~parallel
+    bound = s / np.where(parallel, 1.0, a)
+    hi = np.where(live & (a > 0), bound, np.inf).min(axis=-1)
+    lo = np.where(live & (a < 0), bound, -np.inf).max(axis=-1)
+    return np.where(gone, 0.0, np.maximum(hi - lo, 0.0))
 
-    A row is tight at the vertices within VERTEX_MERGE_TOL of their scale,
-    the tolerance within which vertices merge.  Two facets share at most n - 1
-    vertices, so rows with normals on the same side that share n tight
-    vertices lie on one plane (a facet of P on a box face, or a facet of P
-    within the tolerance of one): the first of them counts once, with the
-    union of their tight vertices.
+
+def _clip_contents(A: np.ndarray, b: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Content of each polytope {x : A[s] x <= b[s]}, A and b of shapes
+    (S, m, n) and (S, m), n <= 3, by Lasserre's recursion about a point
+    mean[s] of it: vol_n = (1/n) sum_f h_f vol_{n-1}(F_f) over the rows f,
+    h_f the distance of mean from the plane of f and F_f the part of the
+    polytope on it, down to segments on lines.
+
+    The recursion reads the rows alone, with no vertex and no tightness
+    tolerance, so a facet of P that rises through the vertex merge tolerance
+    across a box, or meets another in a shallow ridge, is measured as it is.
+    Rows are parallel when the sine between them is at most EPS_GEOM, and
+    on one plane (a facet of P on a box face up to rounding), or on one line
+    within a plane, when their offsets also agree within EPS_GEOM of the
+    scale: then the first of them counts and the rest bound nothing there.
     """
     n = A.shape[-1]
-    if n == 1:
-        return (np.where(keep, pts[..., 0], -np.inf).max(axis=1)
-                - np.where(keep, pts[..., 0], np.inf).min(axis=1))
     norms = np.linalg.norm(A, axis=-1)
-    u, beta = A / norms[..., None], b / norms
-    tol = VERTEX_MERGE_TOL * np.maximum(1.0, np.abs(pts * keep[..., None]).max(axis=(1, 2)))
-    tight = np.abs(np.einsum("smd,skd->smk", u, pts) - beta[..., None]) <= tol[:, None, None]
-    tight &= keep[:, None]
-    weight = tight.astype(float)
-    plane = ((np.einsum("smk,slk->sml", weight, weight) >= n)
-             & (np.einsum("smd,sld->sml", u, u) > 0))
-    first = ~(plane & np.tri(A.shape[1], k=-1, dtype=bool)).any(axis=2)
-    tight = np.einsum("sml,slk->smk", plane.astype(float), weight) > 0
-    height = beta - np.einsum("smd,sd->sm", u, mean)
-    contents = np.where(first, height * _facet_contents(u, pts, tight), 0.0)
-    return contents.sum(axis=1) / n
+    u = A / norms[..., None]
+    h = b / norms - np.einsum("smd,sd->sm", u, mean)
+    tol = EPS_GEOM * np.maximum(1.0, np.abs(mean).max(axis=1))
+    if n == 1:
+        bound = h / u[..., 0]
+        return np.maximum(np.where(u[..., 0] > 0, bound, np.inf).min(axis=1)
+                          - np.where(u[..., 0] < 0, bound, -np.inf).max(axis=1), 0.0)
+    # on the plane of f, at h_f u_f + y with y orthogonal to u_f, row g reads
+    # (u_g - c u_f).y <= s
+    c = np.einsum("sfd,sgd->sfg", u, u)
+    s = h[:, None] - c * h[..., None]
+    if n == 2:
+        # a[f, g] = u_g . (u_f turned by +90 degrees)
+        a = u[:, :, None, 0] * u[:, None, :, 1] - u[:, :, None, 1] * u[:, None, :, 0]
+        return (h * _segment_lengths(a, s, c, tol)).sum(axis=1) / 2
+    cross = np.cross(u[:, :, None], u[:, None])
+    sine = np.linalg.norm(cross, axis=-1)
+    parallel = sine <= EPS_GEOM
+    gone = _parallel_cuts(parallel, s, c, tol)[0]
+    # each row g not parallel to f as a line of the plane of f: w.y = rho, w a unit normal
+    v = u[:, None] - c[..., None] * u[:, :, None]
+    scale = np.where(parallel, 1.0, np.linalg.norm(v, axis=-1))
+    w, rho = v / scale[..., None], s / scale
+    # row k on the line of g in the plane of f: a[f, g, k] = u_f . (w_g x w_k)
+    a = np.einsum("sfd,sfgkd->sfgk", u, np.cross(w[:, :, :, None], w[:, :, None]))
+    cw = np.einsum("sfgd,sfkd->sfgk", w, w)
+    lengths = _segment_lengths(a, rho[:, :, None] - cw * rho[..., None], cw, tol[:, None],
+                               live=~parallel[:, :, None])
+    area = 0.5 * (rho * np.where(parallel, 0.0, lengths)).sum(axis=2)
+    return (h * np.where(gone, 0.0, area)).sum(axis=1) / 3
 
 
 def box_clip_volumes(P: Polytope, centers: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -622,8 +623,8 @@ def box_clip_volumes(P: Polytope, centers: np.ndarray, delta: np.ndarray) -> np.
     share one basis enumeration of their systems [A_cut; I; -I], in batches
     of about 1 MB of temporaries.  A clip counts 0 when its distinct vertices
     fail the rank test of `Polytope.is_degenerate`; otherwise its volume comes
-    from its facets by the divergence theorem (`_clip_contents`), with no
-    Qhull call.
+    from its rows by Lasserre's recursion (`_clip_contents`), with no Qhull
+    call.
     """
     n = P.dim
     A, b = P.halfspaces
@@ -634,27 +635,36 @@ def box_clip_volumes(P: Polytope, centers: np.ndarray, delta: np.ndarray) -> np.
     for q in np.unique(counts):
         members = np.flatnonzero(counts == q)
         m = q + 2 * n
-        for part in _batches(len(members), len(_bases(m, n)) * max(m, n * n)):
+        # the bases' solves and residuals, or the rows' triples in `_clip_contents`
+        per_box = max(len(_bases(m, n)) * max(m, n * n), n * m ** n)
+        for part in _batches(len(members), per_box):
             boxes = members[part]
             c = centers[boxes]
             facets = np.nonzero(cut[boxes])[1].reshape(len(boxes), q)
             rows_A = np.concatenate([A[facets], np.broadcast_to(box_A, (len(boxes), 2 * n, n))],
                                     axis=1)
             rows_b = np.concatenate([b[facets], c + delta / 2, -(c - delta / 2)], axis=1)
-            pts, keep, near = _feasible_first(*_basic_solutions(rows_A, rows_b, n))
-            for j in np.flatnonzero(near):
+            sols, feas = _basic_solutions(rows_A, rows_b, n)
+            # each box's feasible solutions first; boxes with two of them within
+            # the merge tolerance go through _distinct_vertices, the others keep all
+            order = np.argsort(~feas, axis=1, kind="stable")[:, :feas.sum(axis=1).max(initial=0)]
+            rows = np.arange(len(boxes))[:, None]
+            pts, keep = sols[rows, order], feas[rows, order]
+            w = keep[..., None]
+            tol = VERTEX_MERGE_TOL * np.maximum(1.0, np.abs(pts * w).max(axis=(1, 2), initial=0.0))
+            near = max_norm_distances(pts, pts) <= tol[:, None, None]
+            near &= w & keep[:, None] & ~np.eye(pts.shape[1], dtype=bool)
+            for j in np.flatnonzero(near.any(axis=(1, 2))):
                 distinct = _distinct_vertices(pts[j][keep[j]])
                 pts[j, :len(distinct)], keep[j] = distinct, np.arange(len(keep[j])) < len(distinct)
             # the rank test of _affine_chart, for every box in one batched SVD
-            w = keep[..., None]
             mean = (pts * w).sum(axis=1) / np.maximum(keep.sum(axis=1), 1)[:, None]
             s = np.linalg.svd((pts - mean[:, None]) * w, compute_uv=False)
             rank = np.sum(s > EPS_GEOM * np.maximum(1.0, s.max(axis=1, initial=0.0))[:, None],
                           axis=1)
             full = rank == n
             if full.any():
-                out[boxes[full]] = _clip_contents(rows_A[full], rows_b[full], pts[full],
-                                                  keep[full], mean[full])
+                out[boxes[full]] = _clip_contents(rows_A[full], rows_b[full], mean[full])
     return out
 
 

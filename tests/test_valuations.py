@@ -236,20 +236,42 @@ def test_box_clip_volumes_count_a_facet_on_a_box_face_once(n):
     assert np.all(np.abs(batch - loop) <= 1e-12 * np.prod(delta))
 
 
-@pytest.mark.parametrize("slope", [7e-8, 7e-7])
-def test_box_clip_volumes_of_a_facet_within_the_merge_tolerance_of_a_box_face(slope):
-    # z >= slope * (x + y) rises through the merge tolerance over one box:
-    # the facet and the box's bottom face share some tight vertices but not
-    # all, and count once
+def _shallow_bottoms():
+    """Rows (a, b) of shallow facets a.x <= b over the bottom of the unit
+    cube that come within the vertex merge tolerance of it across a box."""
+    def ridge(s, x0):
+        return [[s, 0.0, -1.0], [-s, 0.0, -1.0]], [s * x0, -s * x0]
+    return {
+        # z >= slope * (x + y): the facet and the box's bottom face share some
+        # tight vertices but not all
+        "tilt 7e-8": ([[7e-8, 7e-8, -1.0]], [0.0]),
+        "tilt 7e-7": ([[7e-7, 7e-7, -1.0]], [0.0]),
+        # z >= s |x - x0|: a ridge inside a box, each facet within the
+        # tolerance of the bottom face but not of the other facet
+        "ridge": ridge(1e-6, 0.45),
+        # three facets within 1e-8 of each other and of the bottom, two of
+        # them with traces on the face x = 1 parallel to within EPS_GEOM
+        "three": ([[4.48322738e-08, 2.72220283e-08, -1.0], [-2.48631437e-07, 4.92860425e-08, -1.0],
+                   [-3.70344171e-09, -2.64299971e-08, -1.0]],
+                  [6.01426255e-09, -1.38153015e-07, -6.81456317e-09]),
+    }
+
+
+@pytest.mark.parametrize("bottom", list(_shallow_bottoms()))
+def test_box_clip_volumes_of_facets_within_the_merge_tolerance_of_a_box_face(bottom):
+    rows, offsets = _shallow_bottoms()[bottom]
     eye = np.eye(3)
-    P = from_halfspaces(np.vstack([eye, -eye, [slope, slope, -1.0]]),
-                        np.concatenate([np.ones(3), np.zeros(4)]), 3)
+    P = from_halfspaces(np.vstack([eye, -eye, rows]),
+                        np.concatenate([np.ones(3), np.zeros(3), offsets]), 3)
+    lo, hi = P.bbox
     axis = 0.05 + 0.1 * np.arange(10)
-    centers = np.stack(np.meshgrid(axis, axis, [0.05], indexing="ij"), axis=-1).reshape(-1, 3)
+    centers = np.stack(np.meshgrid(axis, axis, [lo[2] + 0.05], indexing="ij"),
+                       axis=-1).reshape(-1, 3)
     delta = np.full(3, 0.1)
     batch = box_clip_volumes(P, centers, delta)
     loop = clip_volumes_loop(P, centers, delta)
-    # vertices are resolved to VERTEX_MERGE_TOL = 1e-7, a double count is 8%
+    # the loop resolves vertices to VERTEX_MERGE_TOL = 1e-7; a face counted
+    # twice or cut short is several percent of a box
     assert np.all(np.abs(batch - loop) <= 1e-5 * np.prod(delta))
 
 
