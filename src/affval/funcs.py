@@ -19,7 +19,6 @@ certificate confirms it equals the minimum; ``join`` refines cells.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -811,7 +810,7 @@ def _min_cells(R: Polytope, qi: QuadraticFn, qj: QuadraticFn, take_max: bool = F
 
 
 def _cell_samples(R: Polytope) -> np.ndarray:
-    return np.vstack([_facet_samples(R), R.grid_points(5)])
+    return np.vstack([_facet_samples(R.vertices), R.grid_points(5)])
 
 
 def _refined_cells(u: PLQFn, v: PLQFn, take_max: bool):
@@ -880,6 +879,13 @@ def certify_plq(cells, domain: Polytope | None = None) -> PLQFn:
     scale are intersected (in `itertools.combinations` order): cells further
     apart share no facet and no interior, so they could add no check.  Their
     intersections are enumerated up front, by `_cell_pair_vertices`.
+
+    A shared facet is read from those vertices without a hull: one affine
+    chart gives its dimension and normal, and the samples are the vertices,
+    their mean and their midpoints.  The enumeration already merged them, and
+    a hull would only snap them by ulps, so the residuals differ from a
+    hull's by rounding.  A full-dimensional overlap is still hulled, to
+    measure its volume.
     """
     cs = [(P, q) for P, q in cells if not P.is_degenerate]
     if not cs:
@@ -901,21 +907,21 @@ def certify_plq(cells, domain: Polytope | None = None) -> PLQFn:
         if not len(verts):
             continue
         (Pi, qi), (Pj, qj) = cs[i], cs[j]
-        R = hull(verts)
-        if R.intrinsic_dim == n:
-            if R.volume > OVERLAP_TOL * (1.0 + min(Pi.volume, Pj.volume)):
+        _, basis, d = geometry._affine_chart(verts)
+        if d == n:
+            if hull(verts).volume > OVERLAP_TOL * (1.0 + min(Pi.volume, Pj.volume)):
                 raise NotConvex(f"cells {i} and {j} have overlapping interiors")
             continue
-        if R.intrinsic_dim != n - 1:
+        if d != n - 1:
             continue
-        samples = _facet_samples(R)
+        samples = _facet_samples(verts)
         vi = qi.eval_many(samples)
         vj = qj.eval_many(samples)
         vscale = 1.0 + float(max(np.abs(vi).max(), np.abs(vj).max()))
         cont = float(np.abs(vi - vj).max())
         if cont > CERT_TOL * vscale:
             raise NotConvex(f"value jump {cont:.3e} across facet of cells {i},{j}")
-        nu = _facet_normal(R, n)
+        nu = geometry._null_complement(basis, n)[0]
         if nu @ (Pj.barycenter - Pi.barycenter) < 0:
             nu = -nu
         jump = (samples @ (qj.A - qi.A).T + (qj.b - qi.b)) @ nu
@@ -943,17 +949,10 @@ def _cell_pair_vertices(cells: list[Polytope], pairs) -> list[np.ndarray]:
     return out
 
 
-def _facet_samples(R: Polytope) -> np.ndarray:
-    v = R.vertices
-    parts = [v, R.barycenter[None, :]]
-    if len(v) > 1:
-        parts.append(np.array([(a + b) / 2 for a, b in itertools.combinations(v, 2)]))
-    return np.vstack(parts)
-
-
-def _facet_normal(R: Polytope, n: int) -> np.ndarray:
-    comp = geometry._null_complement(R.chart[1], n)
-    return comp[0]
+def _facet_samples(v: np.ndarray) -> np.ndarray:
+    """The points v, their mean and the midpoints of every pair of them."""
+    i, j = np.triu_indices(len(v), 1)
+    return np.vstack([v, v.mean(axis=0)[None, :], (v[i] + v[j]) / 2])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Polytope algebra in ambient dimensions 1-3.
 
 Polytopes carry an irredundant vertex description; the halfspace description
-is derived lazily and cached.  Lower-dimensional ("degenerate") polytopes are
-first-class values with volume zero; they expose an affine chart
-(origin, orthonormal basis) so that operations can run inside the affine hull.
+is derived lazily and cached.  `hull` of the 2^n corners of an axis box whose
+extents clear `BOX_EXTENT_MIN` returns them as they are, with the identity
+chart: the general path would keep every corner bit for bit and find that
+same chart, so the derived halfspaces and volume do not change.
+
+Lower-dimensional ("degenerate") polytopes are first-class values with volume
+zero; they expose an affine chart (origin, orthonormal basis) so that
+operations can run inside the affine hull.
 
 All values are immutable after construction and all operations are pure.
 Coordinates are plain floats; the tolerances live in `numerics`.
@@ -19,9 +24,9 @@ import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import DimMismatch, EmptyInput, NumericalLimit, SingularMap
-from .numerics import (BASIS_TOL, COLLINEAR_TOL, EPS_GEOM, FACET_MERGE_TOL, FEAS_TOL, MERGE_TOL,
-                       NORM_FLOOR, NORMAL_RANK_TOL, QHULL_JOGGLE, SINGULAR_DET, VERTEX_MERGE_TOL,
-                       scale_of)
+from .numerics import (BASIS_TOL, BOX_EXTENT_MIN, COLLINEAR_TOL, EPS_GEOM, FACET_MERGE_TOL,
+                       FEAS_TOL, MERGE_TOL, NORM_FLOOR, NORMAL_RANK_TOL, QHULL_JOGGLE,
+                       SINGULAR_DET, VERTEX_MERGE_TOL, scale_of)
 
 MAX_DIM = 3
 
@@ -418,12 +423,47 @@ def _null_complement(basis: np.ndarray, n: int) -> np.ndarray:
 
 def hull(points) -> Polytope:
     """Irredundant convex hull; lower-dimensional input yields a degenerate
-    polytope (volume 0) rather than an error."""
+    polytope (volume 0) rather than an error.
+
+    The 2^n corners of an axis box, each column holding two values bit for
+    bit and every extent above BOX_EXTENT_MIN of the scale, skip the hull:
+    there the snap and the dedupe move nothing, the rank is n and the 2-d
+    chain and Qhull keep every corner, so the corners are the vertices, and
+    the identity chart is set as the rank test would find it.
+    """
     pts = _as_point_array(points)
     if pts.size == 0:
         raise EmptyInput("hull of no points")
     if not np.all(np.isfinite(pts)):
         raise ValueError("non-finite vertex coordinates")
+    n = pts.shape[1]
+    if _is_box(pts):
+        P = Polytope(pts)
+        P.chart = np.zeros(n), np.eye(n)
+        return P
+    return _general_hull(pts)
+
+
+def _is_box(pts: np.ndarray) -> bool:
+    """Whether the finite points are the 2^n distinct corners of their
+    bounding box, with every extent above BOX_EXTENT_MIN of their scale.
+    Coordinates are compared bit for bit, so a column mixing -0.0 and 0.0,
+    which the general path's snap unifies, is no box."""
+    n = pts.shape[1]
+    if not 1 <= n <= MAX_DIM or len(pts) != 1 << n:
+        return False
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    if not np.all(hi - lo > BOX_EXTENT_MIN * scale_of(pts)):
+        return False
+    bits = pts.view(np.int64)
+    upper = bits == hi.view(np.int64)
+    if not np.all(upper | (bits == lo.view(np.int64))):
+        return False
+    return len(set((upper @ (1 << np.arange(n))).tolist())) == len(pts)
+
+
+def _general_hull(pts: np.ndarray) -> Polytope:
+    """`hull` of finite points by snap, dedupe, chart and hull in the chart."""
     tol = MERGE_TOL * scale_of(pts)
     pts = _snap_columns(pts, tol)
     pts = pts[near_duplicate_leaders(pts, tol)[0]]

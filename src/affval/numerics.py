@@ -38,6 +38,7 @@ GRAD_TOL = 1e-12           # gradient identity; relative to scale_of(G), absolut
 
 # hulls and halfspace enumeration
 COLLINEAR_TOL = 1e-10      # 2-d hull drops corners with smaller cross products; relative to scale**2
+BOX_EXTENT_MIN = 1e-4      # hull passes box corners through above this extent; relative to scale_of
 NORMAL_RANK_TOL = 1e-7     # 3-d hull: rank of the tight unit facet normals; absolute
 BASIS_TOL = 1e-10          # vertex enumeration: nonsingular basis; relative to its row-norm product
 NORM_FLOOR = 1e-30         # floor of that product, so a zero row never passes; absolute

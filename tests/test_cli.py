@@ -728,22 +728,28 @@ def test_cli_reused_parser_matches_a_fresh_process(tmp_path, monkeypatch):
                 ["zvalue", square, "--zeta", "sqrt", "--grid", "16"],
                 ["conjugate", "--in", absf, "--out", "{out}"]]
 
-    def outputs(where, run):
+    def argvs(where):
+        return [[a.format(out=tmp_path / f"{where}{i}.json") for a in argv]
+                for i, argv in enumerate(commands)]
+
+    def outputs(where, results):
         got = []
-        for i, argv in enumerate(commands):
+        for i, res in enumerate(results):
             out = tmp_path / f"{where}{i}.json"
-            code, stdout, stderr = run([a.format(out=out) for a in argv])
-            got.append((code, stdout, stderr, out.read_text() if out.exists() else None))
+            got.append((*res, out.read_text() if out.exists() else None))
         return got
+
+    def finish(p):
+        stdout, stderr = p.communicate()
+        return p.returncode, stdout, stderr
 
     src = os.path.dirname(os.path.dirname(affval.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-
-    def fresh(argv):
-        p = subprocess.run([sys.executable, "-m", "affval.cli", *argv], capture_output=True,
-                           text=True, env=env)
-        return p.returncode, p.stdout, p.stderr
-
-    here = outputs("here", _run)
+    # the fresh interpreters start together and are read one after another
+    procs = [subprocess.Popen([sys.executable, "-m", "affval.cli", *argv], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=env)
+             for argv in argvs("fresh")]
+    here = outputs("here", [_run(argv) for argv in argvs("here")])
+    fresh = outputs("fresh", [finish(p) for p in procs])
     assert [g[0] for g in here] == [2, 0, 2, 0]
-    assert here == outputs("fresh", fresh)
+    assert here == fresh

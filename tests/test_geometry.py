@@ -7,6 +7,8 @@ from affval.errors import DimMismatch, EmptyInput, NumericalLimit, SingularMap
 from affval.geometry import (
     AffineMap,
     _LEADER_BLOCK,
+    _general_hull,
+    _is_box,
     _qhull,
     affine_image,
     box,
@@ -23,6 +25,7 @@ from affval.geometry import (
     vertex_sets_equal,
     vertices_from_halfspaces,
 )
+from affval.numerics import BOX_EXTENT_MIN
 
 
 def test_hull_drops_redundant_points():
@@ -355,3 +358,36 @@ def test_near_duplicate_leaders_matches_scan(k, d, seed, layout, nan, per_row, p
 def test_hull_rejects_non_finite_points():
     with pytest.raises(ValueError, match="non-finite"):
         hull([[np.inf, 0.0], [0.0, 1.0], [1.0, 0.0]])
+
+
+def _box_cases(rng, n):
+    """(points, is a box) in R^n: shuffled box corners at offsets up to 1e6
+    with extents above the margin, just above it and just below it, a
+    column mixing -0.0 and 0.0, a parallelogram and a repeated corner."""
+    cases = []
+    for _ in range(12):
+        lo = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-2, 7)
+        for factor, above in ((10.0 ** rng.uniform(0, 4), True), (1.001, True), (0.999, False)):
+            ext = factor * BOX_EXTENT_MIN * np.maximum(1.0, np.abs(lo).max())
+            corners = np.array(np.meshgrid(*zip(lo, lo + ext), indexing="ij")).reshape(n, -1).T
+            cases.append((rng.permutation(corners), above))
+    signed = np.array(np.meshgrid(*[[0.0, 1.0]] * n, indexing="ij")).reshape(n, -1).T
+    signed[0, 0] = -0.0
+    sheared = signed @ (np.eye(n) + np.eye(n, k=1))
+    repeated = signed.copy()
+    repeated[-1] = repeated[0]
+    # in 1-d two distinct points are always a box
+    return cases + [(signed, n == 1), (sheared, n == 1), (repeated, False)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hull_of_box_corners_matches_the_general_path(n):
+    rng = np.random.default_rng(n)
+    for pts, above in _box_cases(rng, n):
+        assert _is_box(pts) == above
+        got, want = hull(pts), _general_hull(pts)
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        assert got.intrinsic_dim == want.intrinsic_dim
+        for a, b in zip(got.chart + got.halfspaces, want.chart + want.halfspaces):
+            assert a.tobytes() == b.tobytes()
+        assert got.volume == want.volume
