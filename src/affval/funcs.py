@@ -39,7 +39,7 @@ from .errors import (
 from .geometry import Polytope, hull, intersect, minkowski_sum
 from .numerics import (ACTIVE_TOL, CERT_TOL, DOMINATE_TOL, EPS_GEOM, FEAS_TOL,
                        GRAD_TOL, LINE_COEF_TOL, LOWER_FACET_TOL, MERGE_TOL, OVERLAP_TOL,
-                       QHULL_VERTEX_TOL, SUBDIVISION_MERGE_TOL, scale_of)
+                       QHULL_VERTEX_TOL, SUBDIVISION_MERGE_TOL, VERTEX_MERGE_TOL, scale_of)
 
 
 # ---------------------------------------------------------------------------
@@ -869,23 +869,22 @@ def join(u: ConvexFn, v: ConvexFn) -> ConvexFn:
 def certify_plq(cells, domain: Polytope | None = None) -> PLQFn:
     """Validate a cell list as a convex PLQ function.
 
-    Checks per-cell positive semidefiniteness, pairwise disjoint interiors,
-    volume cover of the domain, continuity across shared facets (sampled at
-    vertices, edge midpoints and the barycenter), and monotonicity of the
-    gradient jump along each facet normal.  Raises NotConvex with the
-    offending cell or facet.
+    Checks per-cell positive semidefiniteness, volume cover of the domain,
+    then for every pair of cells that meets: disjoint interiors, continuity
+    across their shared facet (sampled at its vertices, their mean and their
+    midpoints) and monotonicity of the gradient jump along the facet normal.
+    Raises NotConvex with the offending cell or pair: the first failing pair
+    in `itertools.combinations` order, and for that pair its first failing
+    check in that order.
 
     Only pairs whose bounding boxes meet within FEAS_TOL of the coordinate
-    scale are intersected (in `itertools.combinations` order): cells further
-    apart share no facet and no interior, so they could add no check.  Their
-    intersections are enumerated up front, by `_cell_pair_vertices`.
-
-    A shared facet is read from those vertices without a hull: one affine
-    chart gives its dimension and normal, and the samples are the vertices,
-    their mean and their midpoints.  The enumeration already merged them, and
-    a hull would only snap them by ulps, so the residuals differ from a
-    hull's by rounding.  A full-dimensional overlap is still hulled, to
-    measure its volume.
+    scale are examined: cells further apart share no facet and no interior.
+    `_pair_meets` finds where each pair meets, two axis boxes in closed form
+    and the rest by one batched enumeration, and the facet checks then run
+    for all pairs at once, one batch per facet vertex count.  A shared facet
+    is read from its vertices without a hull, so the residuals differ from a
+    hull's by rounding; a full-dimensional overlap is hulled, to measure its
+    volume.
     """
     cs = [(P, q) for P, q in cells if not P.is_degenerate]
     if not cs:
@@ -901,43 +900,100 @@ def certify_plq(cells, domain: Polytope | None = None) -> PLQFn:
             f"cells cover {total:.12g} of domain volume {dom.volume:.12g}")
     lo, hi = (np.array([P.bbox[k] for P, _ in cs]) for k in (0, 1))
     below = np.all(lo[:, None] <= hi[None] + FEAS_TOL * scale_of(lo, hi), axis=2)
-    facet_checks = []
-    pairs = list(zip(*(k.tolist() for k in np.nonzero(np.triu(below & below.T, k=1)))))
-    for (i, j), verts in zip(pairs, _cell_pair_vertices([P for P, _ in cs], pairs)):
-        if not len(verts):
-            continue
-        (Pi, qi), (Pj, qj) = cs[i], cs[j]
-        _, basis, d = geometry._affine_chart(verts)
-        if d == n:
-            if hull(verts).volume > OVERLAP_TOL * (1.0 + min(Pi.volume, Pj.volume)):
-                raise NotConvex(f"cells {i} and {j} have overlapping interiors")
-            continue
-        if d != n - 1:
-            continue
-        samples = _facet_samples(verts)
-        vi = qi.eval_many(samples)
-        vj = qj.eval_many(samples)
-        vscale = 1.0 + float(max(np.abs(vi).max(), np.abs(vj).max()))
-        cont = float(np.abs(vi - vj).max())
-        if cont > CERT_TOL * vscale:
-            raise NotConvex(f"value jump {cont:.3e} across facet of cells {i},{j}")
-        nu = geometry._null_complement(basis, n)[0]
-        if nu @ (Pj.barycenter - Pi.barycenter) < 0:
-            nu = -nu
-        jump = (samples @ (qj.A - qi.A).T + (qj.b - qi.b)) @ nu
-        mono = float(jump.min())
-        if mono < -CERT_TOL * (1.0 + float(np.abs(jump).max())):
-            raise NotConvex(
-                f"gradient jump {mono:.3e} against the facet normal of cells {i},{j}")
-        facet_checks.append((i, j, cont, mono))
-    return PLQFn(cs, dom, certificate=tuple(facet_checks))
+    pairs = np.argwhere(np.triu(below & below.T, k=1))
+    vol = np.array([P.volume for P, _ in cs])
+    bary = np.array([P.barycenter for P, _ in cs])
+    A = np.array([q.A for _, q in cs])
+    b = np.array([q.b for _, q in cs])
+    c = np.array([q.c for _, q in cs])
+    facet = np.zeros(len(pairs), dtype=bool)
+    cont, mono = np.zeros((2, len(pairs)))
+    # each pair's first failing check: 1 overlap, 2 value jump, 3 gradient jump
+    fault = np.zeros(len(pairs), dtype=int)
+    for at, V, rank, nu in _pair_meets([P for P, _ in cs], pairs):
+        i, j = pairs[at].T
+        full = rank == n
+        fault[at[full]] = [hull(v).volume > OVERLAP_TOL * (1.0 + min(vol[k], vol[m]))
+                           for v, k, m in zip(V[full], i[full], j[full])]
+        f = rank == n - 1
+        at, V, i, j, nu = at[f], V[f], i[f], j[f], nu[f]
+        facet[at] = True
+        X = _facet_samples(V)
+        vi, vj = (0.5 * np.einsum("gsk,gkl,gsl->gs", X, A[k], X)
+                  + np.einsum("gsk,gk->gs", X, b[k]) + c[k, None] for k in (i, j))
+        cont[at] = np.abs(vi - vj).max(axis=1)
+        vscale = 1.0 + np.maximum(np.abs(vi).max(axis=1), np.abs(vj).max(axis=1))
+        # turn each normal to point from cell i into cell j
+        flip = np.einsum("gk,gk->g", nu, bary[j] - bary[i]) < 0
+        nu[flip] = -nu[flip]
+        jump = (np.einsum("gsk,glk,gl->gs", X, A[j] - A[i], nu)
+                + np.einsum("gk,gk->g", b[j] - b[i], nu)[:, None])
+        mono[at] = jump.min(axis=1)
+        fault[at] = np.select([cont[at] > CERT_TOL * vscale,
+                               mono[at] < -CERT_TOL * (1.0 + np.abs(jump).max(axis=1))], [2, 3])
+    bad = np.flatnonzero(fault)
+    if len(bad):
+        k = bad[0]
+        i, j = pairs[k].tolist()
+        if fault[k] == 1:
+            raise NotConvex(f"cells {i} and {j} have overlapping interiors")
+        if fault[k] == 2:
+            raise NotConvex(f"value jump {cont[k]:.3e} across facet of cells {i},{j}")
+        raise NotConvex(f"gradient jump {mono[k]:.3e} against the facet normal of cells {i},{j}")
+    checks = zip(pairs[facet].tolist(), cont[facet].tolist(), mono[facet].tolist())
+    return PLQFn(cs, dom, certificate=tuple((i, j, r, s) for (i, j), r, s in checks))
+
+
+def _pair_meets(cells: list[Polytope], pairs: np.ndarray):
+    """Where each pair (i, j) of rows of `pairs` meets, in groups (at, V,
+    rank, nu): the pairs pairs[at], whose meets have the vertices V, of shape
+    (len(at), k, n), the ranks `rank` and, where the rank is n - 1, the unit
+    normals nu (any sign).  Pairs that do not meet are in no group.
+
+    Two axis boxes (`Polytope.is_box`) meet in the box [max lo, min hi] of
+    their corners: no halfspace, Qhull or basis enumeration.  As in the
+    enumeration, the meet is empty when some extent is below -FEAS_TOL of its
+    scale, and an axis of extent at most VERTEX_MERGE_TOL of it collapses to
+    its lower end, the corner the enumeration's merge keeps.  The other pairs
+    take `_cell_pair_vertices`, and the rank and normal of
+    `geometry._affine_chart` from one batched SVD per vertex count.
+    """
+    n = cells[0].dim
+    boxed = np.array([P.is_box for P in cells])[pairs].all(axis=1)
+    at = np.flatnonzero(boxed)
+    i, j = pairs[at].T
+    lo, hi = (np.array([P.bbox[k] for P in cells]) for k in (0, 1))
+    lo, hi = np.maximum(lo[i], lo[j]), np.minimum(hi[i], hi[j])
+    scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)).max(axis=1, initial=0.0))[:, None]
+    meets = np.all(hi - lo >= -FEAS_TOL * scale, axis=1)
+    thin = hi - lo <= VERTEX_MERGE_TOL * scale
+    lo = np.where(thin, np.minimum(lo, hi), lo)
+    # the 2^n corners in lexicographic order; a thin axis keeps its lower end
+    upper = (np.arange(1 << n)[:, None] >> np.arange(n)[::-1] & 1).astype(bool)
+    corners = np.where(upper, hi[:, None], lo[:, None])
+    kept = ~(upper & thin[:, None]).any(axis=2)
+    rank = n - thin.sum(axis=1)
+    for d in np.unique(rank[meets]):
+        g = meets & (rank == d)
+        V = corners[g][kept[g]].reshape(-1, 1 << d, n)
+        yield at[g], V, rank[g], thin[g].astype(float)
+    rest = np.flatnonzero(~boxed)
+    verts = _cell_pair_vertices(cells, pairs[rest])
+    counts = np.array([len(v) for v in verts], dtype=int)
+    for k in np.unique(counts[counts > 0]):
+        g = np.flatnonzero(counts == k)
+        V = np.array([verts[m] for m in g])
+        _, s, vt = np.linalg.svd(V - V.mean(axis=1, keepdims=True), full_matrices=True)
+        tol = EPS_GEOM * np.maximum(1.0, s.max(axis=1))
+        yield rest[g], V, np.sum(s > tol[:, None], axis=1), vt[:, -1]
 
 
 def _cell_pair_vertices(cells: list[Polytope], pairs) -> list[np.ndarray]:
     """For each pair (i, j), the vertices of cells[i] meet cells[j] that
     `intersect` hulls: `vertices_from_halfspaces` of their stacked rows, with
-    its bits, from one batched enumeration per total row count."""
-    H = [P.halfspaces for P in cells]
+    its bits, from one batched enumeration per total row count.  Only the
+    cells of some pair have their halfspaces read."""
+    H = {k: cells[k].halfspaces for k in np.unique(np.asarray(pairs, dtype=int)).tolist()}
     rows = np.array([len(H[i][1]) + len(H[j][1]) for i, j in pairs], dtype=int)
     out: list[np.ndarray] = [np.zeros((0, 0))] * len(pairs)
     for m in np.unique(rows):
@@ -950,9 +1006,11 @@ def _cell_pair_vertices(cells: list[Polytope], pairs) -> list[np.ndarray]:
 
 
 def _facet_samples(v: np.ndarray) -> np.ndarray:
-    """The points v, their mean and the midpoints of every pair of them."""
-    i, j = np.triu_indices(len(v), 1)
-    return np.vstack([v, v.mean(axis=0)[None, :], (v[i] + v[j]) / 2])
+    """The points v, their mean and the midpoints of every pair of them, over
+    the last two axes, so that a stack of point sets is sampled at once."""
+    i, j = np.triu_indices(v.shape[-2], 1)
+    return np.concatenate([v, v.mean(axis=-2, keepdims=True), (v[..., i, :] + v[..., j, :]) / 2],
+                          axis=-2)
 
 
 # ---------------------------------------------------------------------------

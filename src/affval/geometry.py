@@ -158,9 +158,10 @@ def _hull_1d(z: np.ndarray) -> np.ndarray:
 
 
 def _hull_2d(z: np.ndarray) -> np.ndarray:
-    """Monotone chain; strictly convex corners only (collinear points dropped)."""
-    scale = scale_of(z)
-    tol = COLLINEAR_TOL * scale * scale
+    """Monotone chain; strictly convex corners only (collinear points dropped,
+    relative to the extent, so that the result does not depend on position)."""
+    extent = float((z.max(axis=0) - z.min(axis=0)).max())
+    tol = COLLINEAR_TOL * extent * extent
     order = np.lexsort((z[:, 1], z[:, 0]))
     pts = z[order]
 
@@ -300,6 +301,11 @@ class Polytope:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     @cached_property
+    def is_box(self) -> bool:
+        """Whether the vertices are the corners that `hull` takes as an axis box."""
+        return _is_box(self.vertices)
+
+    @cached_property
     def barycenter(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
 
@@ -429,7 +435,7 @@ def hull(points) -> Polytope:
     bit and every extent above BOX_EXTENT_MIN of the scale, skip the hull:
     there the snap and the dedupe move nothing, the rank is n and the 2-d
     chain and Qhull keep every corner, so the corners are the vertices, and
-    the identity chart is set as the rank test would find it.
+    the identity chart is set as the rank test would find it (and `is_box`).
     """
     pts = _as_point_array(points)
     if pts.size == 0:
@@ -439,7 +445,7 @@ def hull(points) -> Polytope:
     n = pts.shape[1]
     if _is_box(pts):
         P = Polytope(pts)
-        P.chart = np.zeros(n), np.eye(n)
+        P.chart, P.is_box = (np.zeros(n), np.eye(n)), True
         return P
     return _general_hull(pts)
 

@@ -6,7 +6,9 @@ data below unit scale; check reports and certificates scale by `1 + |value|`
 instead, and print that product in their `tolerance` column.  The activity
 subdivision of a domain floors its scales at min(1, diameter) instead of 1
 (`scale_of(..., floor=...)`), so that its slacks stay below the extent of a
-domain smaller than unit scale.  Pruning on a
+domain smaller than unit scale.  The 2-d hull's collinearity test scales by
+the square of the extent, the largest coordinate range of its points, so
+that it does not depend on where they sit.  Pruning on a
 domain has no tolerance of its own: it keeps the pieces that own an activity
 cell, so the halfspace-enumeration and rank tolerances below decide it.
 """
@@ -37,7 +39,7 @@ FACET_MERGE_TOL = 1e-9     # merge of Qhull facet equations with unit normals; a
 GRAD_TOL = 1e-12           # gradient identity; relative to scale_of(G), absolute in _min_cells
 
 # hulls and halfspace enumeration
-COLLINEAR_TOL = 1e-10      # 2-d hull drops corners with smaller cross products; relative to scale**2
+COLLINEAR_TOL = 1e-10      # 2-d hull drops corners with smaller cross products; relative to extent**2
 BOX_EXTENT_MIN = 1e-4      # hull passes box corners through above this extent; relative to scale_of
 NORMAL_RANK_TOL = 1e-7     # 3-d hull: rank of the tight unit facet normals; absolute
 BASIS_TOL = 1e-10          # vertex enumeration: nonsingular basis; relative to its row-norm product

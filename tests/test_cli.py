@@ -351,6 +351,28 @@ def test_cli_conjugate_of_large_crossed_slopes(tmp_path):
     jsonio.load_function(dst)
 
 
+_FAR_TRIANGLE = {"dim": 2, "vertices": [[1e6, 1e6], [1e6 + 10, 1e6], [1e6, 1e6 + 10]]}
+
+
+def test_cli_far_from_the_origin(tmp_path, capsys):
+    # the triangle (1e6, 1e6) + 10 * (unit simplex): its hull keeps three corners
+    plq = write(tmp_path, "q.json", {"type": "plq", "cells": [
+        {"poly": _FAR_TRIANGLE, "A": [[1, 0], [0, 1]], "b": [0, 0], "c": 0.0}]})
+    assert main(["zvalue", plq, "--zeta", "power:0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(50.0)
+    signs = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+    pa = write(tmp_path, "pa.json", {"type": "pa", "domain": _FAR_TRIANGLE,
+                                     "pieces": [{"grad": g, "c": 0.0} for g in signs]})
+    star = str(tmp_path / "star.json")
+    assert main(["conjugate", "--in", pa, "--out", star]) == 0
+    assert len(json.loads(open(star).read())["pieces"]) == 4
+    mx = write(tmp_path, "max.json", {"type": "pa", "domain": _FAR_TRIANGLE,
+                                      "pieces": [{"grad": g, "c": 0.0} for g in signs[::2]]})
+    capsys.readouterr()
+    assert main(["eval", mx, "--point", "1000001,1000001"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(1000001.0)
+
+
 def test_cli_infconv(tmp_path, capsys):
     a = write(tmp_path, "a.json",
               {"type": "indicator", "domain": {"dim": 1, "vertices": [[0], [1]]}})

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -336,10 +337,72 @@ def _certify_cases():
               ([(cube(2), QuadraticFn(np.diag([1.0, -1.0]), np.zeros(2), 0.0))], None),
               ([(box([0], [1]), up), (box([1], [2]), down)], None),
               ([(box([0], [2]), qa), (box([1], [3]), qa)], box([0], [4]))]
+    cases += _box_meet_cases(rng)
     return cases
 
 
-@pytest.mark.parametrize("case", range(12))
+def _shifted(cells, y, slope, const):
+    """u(x - y) + <slope, x> + const on the cells translated by y, as the
+    benchmark's input generator shifts its staircases: boxes stay boxes."""
+    out = []
+    for P, q in cells:
+        A, b = q.A, q.b
+        out.append((hull(P.vertices + y),
+                    QuadraticFn(A, b - A @ y + slope, q.c - b @ y + 0.5 * y @ A @ y + const)))
+    return out
+
+
+def _slab(n, axis, lo, hi):
+    a, z = np.zeros(n), np.ones(n)
+    a[axis], z[axis] = lo, hi
+    return box(a, z)
+
+
+def _box_meet_cases(rng):
+    """Cells that exercise `_pair_meets`: shifted and tilted staircases,
+    touching faces a hair apart, boxes too thin for the box path, box and
+    non-box cells together, and overlapping boxes in 3-d."""
+    from affval.sequences import StaircaseSpec, staircase_sequence
+
+    cases = []
+    for spec in (StaircaseSpec(0.1, 0.7, 1.9, m=5), StaircaseSpec(0.0, 1.0, 2.0, m=4, n=3)):
+        cells = staircase_sequence(spec).cells
+        for offset in (1.0, 4.0):
+            y = rng.uniform(-offset, offset, spec.n)
+            cases.append((_shifted(cells, y, rng.uniform(-0.5, 0.5, spec.n), 0.3), None))
+    for n in (2, 3):
+        q = QuadraticFn(generators.random_psd(rng, n), rng.uniform(-1, 1, n), 0.0)
+        steep = q.plus_affine(AffineFn(np.eye(n)[0], -0.5))
+        for gap in (1e-12, -1e-12):
+            # touching faces at x_0 = 0.5 a gap or an overlap apart, one kink across them
+            left, right = _slab(n, 0, 0.0, 0.5), _slab(n, 0, 0.5 + gap, 1.0)
+            cases.append(([(left, q), (right, steep)], None))
+            cases.append(([(left, steep), (right, q)], None))
+        # a kink the wrong way and a value jump on one facet: the jump is reported
+        cases.append(([(_slab(n, 0, 0.0, 0.5), steep), (_slab(n, 0, 0.5, 1.0), q.plus_const(1e-3))],
+                      None))
+        # slabs thinner than BOX_EXTENT_MIN, which leave the box path
+        cuts = [0.0, 3e-5, 6e-5, 0.5, 1.0]
+        cases.append(([(_slab(n, 0, a, z), q if a < 0.5 else steep)
+                       for a, z in zip(cuts, cuts[1:])], None))
+    # a box beside a square cut into two triangles, and beside a thin slab
+    q2 = QuadraticFn(generators.random_psd(rng, 2), rng.uniform(-1, 1, 2), 0.0)
+    tri = [hull([[0, 0], [1, 0], [1, 1]]), hull([[0, 0], [1, 1], [0, 1]])]
+    cases.append(([(tri[0], q2), (tri[1], q2), (box([1, 0], [2, 1]), q2),
+                   (box([2, 0], [2 + 5e-5, 1]), q2)], None))
+    cases.append(([(tri[0], q2), (box([1, 0], [2, 1]), q2.plus_const(1e-3)),
+                   (tri[1], q2)], None))
+    # overlapping boxes in 3-d: alone, and after a tiling's last facet
+    q3 = QuadraticFn(np.eye(3), np.zeros(3), 0.0)
+    cases.append(([(box([0, 0, 0], [2, 1, 1]), q3), (box([1, 0, 0], [3, 1, 1]), q3)],
+                  box([0, 0, 0], [4, 1, 1])))
+    tiles = _box_tiling(rng, 3, 6)
+    cases.append(([(P, q3) for P in tiles] + [(box([0.25] * 3, [0.75] * 3), q3)],
+                  box([0, 0, 0], [1, 1, 1.125])))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(32))
 def test_certify_plq_matches_all_pairs(case):
     cells, domain = _certify_cases()[case]
     try:
@@ -359,6 +422,29 @@ def test_certify_plq_matches_all_pairs(case):
     assert all(type(i) is int and type(j) is int for i, j, _, _ in got)
     # tiles that share a facet are found; in 3-d some pairs meet in less
     assert len(want) >= len(cells) - 1
+
+
+def test_staircase_load_meets_boxes_in_closed_form(monkeypatch):
+    # the 3-d m = 24 staircase: 49 box cells, every pair of them a box pair
+    from affval import jsonio
+    from affval.sequences import StaircaseSpec, staircase_sequence
+
+    u = staircase_sequence(StaircaseSpec(0.0, 1.0, 2.0, m=24, n=3))
+    doc = json.loads(jsonio.dumps(jsonio.function_to_dict(u)))
+
+    def refuse(*args):
+        raise AssertionError("a box pair read halfspaces")
+
+    qhull_calls = []
+    qhull = geometry._qhull
+    monkeypatch.setattr(geometry.Polytope, "halfspaces", property(refuse))
+    monkeypatch.setattr(geometry, "vertices_from_halfspace_systems", refuse)
+    monkeypatch.setattr(geometry, "_qhull", lambda pts: qhull_calls.append(len(pts)) or qhull(pts))
+    v = jsonio.function_from_dict(doc)
+    assert len(v.cells) == 49 and len(v.certificate) >= 48
+    # the hull of the stacked cell vertices (200 distinct points), then the
+    # volume of each cell and of that hull, a box
+    assert qhull_calls == [200] + [8] * 50
 
 
 def _pair_vertex_cases():

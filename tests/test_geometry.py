@@ -391,3 +391,12 @@ def test_hull_of_box_corners_matches_the_general_path(n):
         for a, b in zip(got.chart + got.halfspaces, want.chart + want.halfspaces):
             assert a.tobytes() == b.tobytes()
         assert got.volume == want.volume
+
+
+def test_hull_2d_collinearity_is_relative_to_the_extent():
+    # a box far below unit scale keeps its corners (the box path is off there)
+    P = hull([[0, 0], [1e-6, 0], [0, 1e-6], [1e-6, 1e-6]])
+    assert len(P.vertices) == 4 and P.volume == pytest.approx(1e-12)
+    # and so does a triangle far from the origin
+    tri = np.array([[1e6, 1e6], [1e6 + 10, 1e6], [1e6, 1e6 + 10]])
+    assert len(hull(tri).vertices) == 3
